@@ -3,6 +3,7 @@ package mpmb
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -193,5 +194,40 @@ func TestCheckpointStorePublicRoundTrip(t *testing.T) {
 	}
 	if _, err := store.Load(path + ".missing"); !errors.Is(err, ErrRetriesExhausted) {
 		t.Errorf("missing checkpoint should exhaust retries, got %v", err)
+	}
+}
+
+// TestAdaptiveSearchCancelledInPrep: a supervised OLS run cancelled in
+// its preparing phase reports the cancellation through the supervisor
+// and leaves a prepare-phase checkpoint that resumes to the uncancelled
+// estimates.
+func TestAdaptiveSearchCancelledInPrep(t *testing.T) {
+	g := figure1(t)
+	opt := DefaultOptions()
+	opt.Trials = 3000
+	opt.AuditEvery = 500
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	part, err := SearchContext(ctx, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Adaptive == nil || part.Adaptive.StopReason != StopCancelled {
+		t.Fatalf("expected a cancelled stop, got %+v", part.Adaptive)
+	}
+	if part.Checkpoint == nil || !part.Checkpoint.Prepare {
+		t.Fatalf("expected a prepare-phase checkpoint, got %+v", part.Checkpoint)
+	}
+	want, err := Search(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume = part.Checkpoint
+	got, err := NewSearcher(g).Search(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Estimates, want.Estimates) {
+		t.Fatalf("resumed estimates differ:\n got: %+v\nwant: %+v", got.Estimates, want.Estimates)
 	}
 }

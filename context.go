@@ -53,7 +53,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // worker panic when Options.Workers > 0). A ctx that is already cancelled
 // on entry yields an empty partial Result with TrialsDone == 0.
 func SearchContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
-	return searchHook(g, opt, ctxHook(ctx))
+	return NewSearcher(g).SearchContext(ctx, opt)
 }
 
 // ctxHook adapts a context to the core Interrupt polling hook. The hook

@@ -41,17 +41,18 @@ func main() {
 	demoTrials := trials / 10
 	fmt.Printf("running with %d trials (1/10 of the bound, demo scale)\n\n", demoTrials)
 
-	opt := mpmb.Options{Trials: demoTrials, PrepTrials: 100, Seed: 11, Mu: 0.05}
+	opt := mpmb.Options{Method: mpmb.MethodOLS, Trials: demoTrials, PrepTrials: 100, Seed: 11, Mu: 0.05}
 
 	t0 = time.Now()
-	ols, err := mpmb.SearchOLS(g, opt)
+	ols, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	olsTime := time.Since(t0)
 
+	opt.Method = mpmb.MethodOLSKL
 	t0 = time.Now()
-	kl, err := mpmb.SearchOLSKL(g, opt)
+	kl, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

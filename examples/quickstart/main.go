@@ -58,7 +58,8 @@ func main() {
 	}
 
 	// The top-k extension (Section VII): more than one important region.
-	res, err := mpmb.SearchOLS(g, opt)
+	opt.Method = mpmb.MethodOLS
+	res, err := mpmb.Search(g, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -502,24 +502,12 @@ func PrepareAnchoredCandidates(g *bigraph.Graph, a Anchor, nPrep int, seed uint6
 // estimates, during sampling a partial Result over the completed prefix
 // (in both cases without a checkpoint).
 func AnchoredOLS(g *bigraph.Graph, a Anchor, opt OLSOptions, workers int) (*Result, error) {
-	method := opt.method()
-	if opt.Resume != nil {
-		return nil, fmt.Errorf("core: anchored runs do not support Resume")
-	}
 	if opt.Executor != nil {
 		return nil, fmt.Errorf("core: anchored runs do not support an explicit Executor")
 	}
-	cands, err := PrepareAnchoredCandidates(g, a, opt.PrepTrials, opt.Seed, opt.Interrupt)
-	if err != nil {
-		return nil, err
-	}
-	if cands.PrepDone < opt.PrepTrials {
-		return &Result{
-			Method:     method,
-			Trials:     opt.Trials,
-			PrepTrials: opt.PrepTrials,
-			Partial:    true,
-		}, nil
+	cands, part, err := PrepareOLS(g, a, opt)
+	if cands == nil {
+		return part, err
 	}
 	return olsSampling(cands, opt, workers, nil)
 }

@@ -104,33 +104,61 @@ func OLSParallel(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error)
 // olsRun executes both OLS phases; workers 0 means a fully sequential
 // sampling phase.
 func olsRun(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
-	method := opt.method()
-	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), g); err != nil {
-			return nil, err
-		}
-	}
-	prepOpt := opt.OS
-	prepOpt.Interrupt = opt.Interrupt
-	prepOpt.Probe = opt.Probe // prepareCandidates rebinds it to the prep phase
-	var resumeCounts []ButterflyCount
-	start := 0
-	if opt.Resume != nil && opt.Resume.Prepare {
-		resumeCounts = opt.Resume.Counts
-		start = opt.Resume.Done
-	}
-	cands, interrupted, err := prepareCandidates(g, opt.PrepTrials, opt.Seed, prepOpt, resumeCounts, start)
-	if err != nil {
-		return nil, err
-	}
-	if interrupted {
-		return prepPartialResult(method, g, opt, cands), nil
+	cands, part, err := PrepareOLS(g, Anchor{}, opt)
+	if cands == nil {
+		return part, err
 	}
 	samplingResume := opt.Resume
 	if samplingResume != nil && samplingResume.Prepare {
 		samplingResume = nil // the prepare checkpoint is consumed; sampling starts fresh
 	}
 	return olsSampling(cands, opt, workers, samplingResume)
+}
+
+// PrepareOLS runs the preparing phase of OLS on its own, so a caller can
+// keep the candidate set between runs: it validates opt.Resume against
+// the run and continues a prepare-phase checkpoint. It returns the
+// candidates of a completed phase, or, when opt.Interrupt cuts the phase
+// short, no candidates and the partial Result OLS would return. A
+// non-zero anchor runs the anchored preparing phase of AnchoredOLS
+// instead; anchored runs cannot resume, so that partial carries no
+// checkpoint.
+func PrepareOLS(g *bigraph.Graph, a Anchor, opt OLSOptions) (*Candidates, *Result, error) {
+	method := opt.method()
+	if a.Kind != 0 {
+		if opt.Resume != nil {
+			return nil, nil, fmt.Errorf("core: anchored runs do not support Resume")
+		}
+		cands, err := PrepareAnchoredCandidates(g, a, opt.PrepTrials, opt.Seed, opt.Interrupt)
+		if err != nil {
+			return nil, nil, err
+		}
+		if cands.PrepDone < opt.PrepTrials {
+			return nil, &Result{Method: method, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Partial: true}, nil
+		}
+		return cands, nil, nil
+	}
+	var resumeCounts []ButterflyCount
+	start := 0
+	if ck := opt.Resume; ck != nil {
+		if err := ck.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), g); err != nil {
+			return nil, nil, err
+		}
+		if ck.Prepare {
+			resumeCounts, start = ck.Counts, ck.Done
+		}
+	}
+	prepOpt := opt.OS
+	prepOpt.Interrupt = opt.Interrupt
+	prepOpt.Probe = opt.Probe // prepareCandidates rebinds it to the prep phase
+	cands, interrupted, err := prepareCandidates(g, opt.PrepTrials, opt.Seed, prepOpt, resumeCounts, start)
+	if err != nil {
+		return nil, nil, err
+	}
+	if interrupted {
+		return nil, prepPartialResult(method, g, opt, cands), nil
+	}
+	return cands, nil, nil
 }
 
 // prepPartialResult wraps a cancelled preparing phase: no estimates yet,
@@ -160,8 +188,9 @@ func prepPartialResult(method string, g *bigraph.Graph, opt OLSOptions, cands *C
 // already-prepared candidate set. The benchmark harness uses this to time
 // the two phases separately (Fig. 8) and to sweep trial counts without
 // re-listing candidates; the Searcher uses it to reuse cached candidates.
-// opt.Resume must be nil or a sampling-phase checkpoint (prepare-phase
-// checkpoints are consumed by OLS itself).
+// opt.Resume may be a checkpoint from either phase: a prepare-phase
+// checkpoint is consumed — cands is the completed phase it was cut from —
+// and sampling starts fresh.
 func OLSSamplingPhase(cands *Candidates, opt OLSOptions) (*Result, error) {
 	return OLSSamplingPhaseParallel(cands, opt, 0)
 }
@@ -176,7 +205,7 @@ func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*
 			return nil, err
 		}
 		if resume.Prepare {
-			return nil, fmt.Errorf("core: checkpoint is from the preparing phase; resume through OLS, not the sampling phase")
+			resume = nil
 		}
 	}
 	return olsSampling(cands, opt, workers, resume)

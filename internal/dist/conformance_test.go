@@ -101,6 +101,38 @@ func TestConformanceBitIdentical(t *testing.T) {
 	}
 }
 
+// TestConformanceAdaptivePrep: a global AdaptivePrep query rides the
+// executor too. The sizing pre-pass is deterministic in (graph, seed),
+// so the workers rebuild the sized candidate set and the distributed
+// Result is bit-identical to the sequential one.
+func TestConformanceAdaptivePrep(t *testing.T) {
+	g := meshGraph(t)
+	for _, method := range []mpmb.Method{mpmb.MethodOLS, mpmb.MethodOLSKL} {
+		t.Run(string(method), func(t *testing.T) {
+			opt := baseOptions(method)
+			opt.Query = &mpmb.Query{AdaptivePrep: true}
+			seq, err := mpmb.Search(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Adaptive == nil || seq.Adaptive.PrepSizing == nil {
+				t.Fatal("sequential run carries no sizing report")
+			}
+			coord := NewCoordinator()
+			coord.LeaseUnits = 64
+			fleet(t, coord, 2)
+			opt.Executor = &Executor{C: coord}
+			got, err := mpmb.Search(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, seq) {
+				t.Fatalf("distributed Result diverges from sequential\n got: %+v\nwant: %+v", got, seq)
+			}
+		})
+	}
+}
+
 // TestConformanceCounters checks terminal counter identity: the
 // deterministic counters — exact functions of which trials ran, not of
 // where or how fast — must match the sequential observer's exactly.

@@ -95,6 +95,10 @@ func TestJobSpecDistributable(t *testing.T) {
 	if !base.distributable() {
 		t.Fatal("plain os job not distributable")
 	}
+	if sp := (JobSpec{Method: "ols", AdaptivePrep: true}); !sp.distributable() || !sp.resumable() {
+		t.Fatal("adaptive-prep job not distributable and resumable")
+	}
+	anchor := uint32(0)
 	for name, sp := range map[string]JobSpec{
 		"exact":   {Method: "exact"},
 		"mc-vp":   {Method: "mc-vp"},
@@ -103,7 +107,9 @@ func TestJobSpecDistributable(t *testing.T) {
 		"deadline": {
 			Method: "os", DeadlineMS: 1000,
 		},
-		"stall": {Method: "os", StallTimeoutMS: 1000},
+		"stall":     {Method: "os", StallTimeoutMS: 1000},
+		"anchored":  {Method: "os", AnchorL: &anchor},
+		"community": {Method: "ols", CommunitiesL: []int{0}},
 	} {
 		if sp.distributable() {
 			t.Errorf("%s job reported distributable", name)

@@ -90,9 +90,7 @@ type edgeAnchorSpec struct {
 // query builds the Options.Query for the spec's variant fields, or nil
 // for a plain global search.
 func (sp JobSpec) query() *mpmb.Query {
-	hasCommunity := len(sp.CommunitiesL) > 0 || len(sp.CommunitiesR) > 0 || sp.CommunityTopK != 0
-	if sp.AnchorL == nil && sp.AnchorR == nil && sp.AnchorEdge == nil &&
-		!hasCommunity && !sp.AdaptivePrep {
+	if !sp.scoped() && !sp.AdaptivePrep {
 		return nil
 	}
 	q := &mpmb.Query{AdaptivePrep: sp.AdaptivePrep}
@@ -107,7 +105,7 @@ func (sp JobSpec) query() *mpmb.Query {
 	if sp.AnchorEdge != nil {
 		q.AnchorEdge = &mpmb.EdgeAnchor{U: mpmb.VertexID(sp.AnchorEdge.U), V: mpmb.VertexID(sp.AnchorEdge.V)}
 	}
-	if hasCommunity {
+	if sp.hasCommunity() {
 		q.Community = &mpmb.Communities{L: sp.CommunitiesL, R: sp.CommunitiesR, TopK: sp.CommunityTopK}
 	}
 	return q
@@ -170,28 +168,35 @@ func (sp JobSpec) cost() float64 {
 	return c
 }
 
-// resumable reports whether the method can checkpoint and resume.
-// Query variants cannot: the engine rejects Options.Resume alongside an
-// active Query, so variant jobs run unsliced.
+// hasCommunity reports whether any community field is set.
+func (sp JobSpec) hasCommunity() bool {
+	return len(sp.CommunitiesL) > 0 || len(sp.CommunitiesR) > 0 || sp.CommunityTopK != 0
+}
+
+// scoped reports whether the spec restricts the search to an anchor or
+// to communities. The engine rejects Options.Resume and an explicit
+// Executor for such queries, so scoped jobs run unsliced and local.
+func (sp JobSpec) scoped() bool {
+	return sp.AnchorL != nil || sp.AnchorR != nil || sp.AnchorEdge != nil || sp.hasCommunity()
+}
+
+// resumable reports whether the job can checkpoint and resume.
 func (sp JobSpec) resumable() bool {
-	return mpmb.Method(sp.Method) != mpmb.MethodExact && sp.query() == nil
+	return mpmb.Method(sp.Method) != mpmb.MethodExact && !sp.scoped()
 }
 
 // distributable reports whether the job may ride the dist coordinator's
-// executor: sampling methods only, and none of the adaptive options —
-// supervision reshapes the trial schedule mid-run, which an explicit
-// executor rejects (see Options.Executor).
+// executor: sampling methods only, no scoped query, and none of the
+// adaptive options — supervision reshapes the trial schedule mid-run,
+// which an explicit executor rejects (see Options.Executor).
 func (sp JobSpec) distributable() bool {
 	switch mpmb.Method(sp.Method) {
 	case mpmb.MethodOS, mpmb.MethodOLS, mpmb.MethodOLSKL:
 	default:
 		return false
 	}
-	// Query variants also stay local: the engine rejects an explicit
-	// executor alongside an active Query (anchored trials localize around
-	// the anchor, communities run per-subgraph).
 	return sp.AuditEvery == 0 && sp.Epsilon == 0 && sp.DeadlineMS == 0 && sp.StallTimeoutMS == 0 &&
-		sp.query() == nil
+		!sp.scoped()
 }
 
 // Job is one admitted search: the persisted manifest fields plus the

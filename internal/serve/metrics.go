@@ -26,47 +26,58 @@ type serveStats struct {
 }
 
 // aggregateMetrics merges every job's telemetry into one daemon-wide
-// snapshot: counters and histograms sum (they are per-job monotone),
-// Workers reports the widest run seen.
+// snapshot: the evicted jobs' retired total plus each live job. The
+// retired total and the job set are read together, so a job evicted
+// between scrapes moves from one to the other and no counter falls.
 func (s *Server) aggregateMetrics() telemetry.Metrics {
 	var agg telemetry.Metrics
-	for _, j := range s.snapshotJobs() {
-		m := j.liveMetrics()
-		if m == nil {
-			continue
-		}
-		if m.Workers > agg.Workers {
-			agg.Workers = m.Workers
-		}
-		agg.Trials += m.Trials
-		agg.TrialHits += m.TrialHits
-		agg.PrepTrials += m.PrepTrials
-		agg.EdgesScanned += m.EdgesScanned
-		agg.EdgesPruned += m.EdgesPruned
-		agg.CandScanned += m.CandScanned
-		agg.CandPruned += m.CandPruned
-		agg.Candidates += m.Candidates
-		agg.Audits += m.Audits
-		agg.AuditMisses += m.AuditMisses
-		agg.Escalations += m.Escalations
-		agg.CheckpointSaves += m.CheckpointSaves
-		agg.CheckpointRetries += m.CheckpointRetries
-		agg.DistLeaseErrors += m.DistLeaseErrors
-		agg.DistCompleteErrors += m.DistCompleteErrors
-		agg.DistGraphErrors += m.DistGraphErrors
-		agg.DistExecErrors += m.DistExecErrors
-		agg.DistReconnects += m.DistReconnects
-		agg.EventsDropped += m.EventsDropped
-		agg.TrialNs.SumNs += m.TrialNs.SumNs
-		agg.TrialNs.Count += m.TrialNs.Count
-		for len(agg.TrialNs.Counts) < len(m.TrialNs.Counts) {
-			agg.TrialNs.Counts = append(agg.TrialNs.Counts, 0)
-		}
-		for i, c := range m.TrialNs.Counts {
-			agg.TrialNs.Counts[i] += c
+	s.mu.Lock()
+	addMetrics(&agg, &s.retired)
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	for _, j := range jobs {
+		if m := j.liveMetrics(); m != nil {
+			addMetrics(&agg, m)
 		}
 	}
 	return agg
+}
+
+// addMetrics folds m into agg: counters and histograms sum (they are
+// per-job monotone), Workers keeps the widest run seen.
+func addMetrics(agg, m *telemetry.Metrics) {
+	agg.Workers = max(agg.Workers, m.Workers)
+	agg.Trials += m.Trials
+	agg.TrialHits += m.TrialHits
+	agg.PrepTrials += m.PrepTrials
+	agg.EdgesScanned += m.EdgesScanned
+	agg.EdgesPruned += m.EdgesPruned
+	agg.CandScanned += m.CandScanned
+	agg.CandPruned += m.CandPruned
+	agg.PrefixFallbacks += m.PrefixFallbacks
+	agg.Candidates += m.Candidates
+	agg.Audits += m.Audits
+	agg.AuditMisses += m.AuditMisses
+	agg.Escalations += m.Escalations
+	agg.CheckpointSaves += m.CheckpointSaves
+	agg.CheckpointRetries += m.CheckpointRetries
+	agg.DistLeaseErrors += m.DistLeaseErrors
+	agg.DistCompleteErrors += m.DistCompleteErrors
+	agg.DistGraphErrors += m.DistGraphErrors
+	agg.DistExecErrors += m.DistExecErrors
+	agg.DistReconnects += m.DistReconnects
+	agg.EventsDropped += m.EventsDropped
+	agg.TrialNs.SumNs += m.TrialNs.SumNs
+	agg.TrialNs.Count += m.TrialNs.Count
+	for len(agg.TrialNs.Counts) < len(m.TrialNs.Counts) {
+		agg.TrialNs.Counts = append(agg.TrialNs.Counts, 0)
+	}
+	for i, c := range m.TrialNs.Counts {
+		agg.TrialNs.Counts[i] += c
+	}
 }
 
 // metricsHandler serves the Prometheus text exposition: the daemon's

@@ -13,7 +13,6 @@ import (
 type graphEntry struct {
 	ready    chan struct{}
 	path     string
-	g        *mpmb.Graph
 	searcher *mpmb.Searcher
 	fp       uint32 // bigraph checksum — the graph fingerprint
 	err      error
@@ -74,9 +73,9 @@ func (c *graphCache) get(path string) (*graphEntry, error) {
 		if twin, ok := c.byFP[fp]; ok && twin != e {
 			// Same bytes under another name: share its Searcher so the
 			// prep-candidate cache is shared too.
-			e.g, e.searcher, e.fp = twin.g, twin.searcher, fp
+			e.searcher, e.fp = twin.searcher, fp
 		} else {
-			e.g, e.searcher, e.fp = g, mpmb.NewSearcher(g), fp
+			e.searcher, e.fp = mpmb.NewSearcher(g), fp
 			c.byFP[fp] = e
 		}
 		c.evictLocked()

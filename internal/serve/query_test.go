@@ -208,3 +208,45 @@ func TestAnchoredJobChargesSameBudget(t *testing.T) {
 		t.Fatal("429 without Retry-After hint")
 	}
 }
+
+// TestAdaptivePrepJobSliced: a global adaptive-prep job is resumable, so
+// the daemon runs it in checkpointed slices, and the sliced run is
+// bit-identical to a direct engine call.
+func TestAdaptivePrepJobSliced(t *testing.T) {
+	graphs := t.TempDir()
+	g := buildMeshGraph(t, graphs, "mesh.graph")
+	_, hs := testServer(t, Config{
+		GraphRoot: graphs, StateDir: t.TempDir(), Workers: 1,
+		CheckpointEvery: time.Millisecond,
+	})
+	id, _ := submitJob(t, hs.URL, "", map[string]any{
+		"graph": "mesh.graph", "method": "ols", "trials": 20000, "seed": 7,
+		"adaptive_prep": true,
+	})
+	if id == "" {
+		t.Fatal("adaptive-prep job rejected")
+	}
+	if st := waitState(t, hs.URL, id, JobDone, JobFailed); st.State != JobDone || !st.Checkpointed {
+		t.Fatalf("job state %q (err %q), checkpointed %v; want a done, sliced run", st.State, st.Error, st.Checkpointed)
+	}
+	doc := fetchResultDoc(t, hs.URL, id)
+
+	opt := mpmb.DefaultOptions()
+	opt.Trials = 20000
+	opt.Seed = 7
+	opt.Query = &mpmb.Query{AdaptivePrep: true}
+	res, err := mpmb.Search(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := res.TopK(5)
+	if len(direct) == 0 || len(direct) != len(doc.Top) {
+		t.Fatalf("daemon top %d estimates, direct %d", len(doc.Top), len(direct))
+	}
+	for i, e := range doc.Top {
+		d := direct[i]
+		if e.U1 != d.B.U1 || e.U2 != d.B.U2 || e.V1 != d.B.V1 || e.V2 != d.B.V2 || e.P != d.P {
+			t.Fatalf("estimate %d: daemon %+v, direct %+v", i, e, d)
+		}
+	}
+}

@@ -90,8 +90,12 @@ func (s *Server) sweepRetention(now time.Time) {
 
 // evictJob removes one terminal job's memory and disk footprint.
 func (s *Server) evictJob(j *Job) {
+	m := j.liveMetrics()
 	s.mu.Lock()
 	delete(s.jobs, j.ID)
+	if m != nil {
+		addMetrics(&s.retired, m)
+	}
 	s.mu.Unlock()
 	s.store.removeResult(j.ID)
 	s.store.removeManifest(j.ID)

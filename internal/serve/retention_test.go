@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -143,4 +144,68 @@ func TestRetentionSparesLiveJobs(t *testing.T) {
 
 	// Now terminal: the same sweep takes it.
 	sweepUntilGone(t, srv, hs.URL, id, time.Now().Add(24*time.Hour))
+}
+
+// nonGaugeSeries parses a /metrics exposition into its counter and
+// histogram series: every sample line whose metric is not declared a
+// gauge.
+func nonGaugeSeries(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	gauges := make(map[string]bool)
+	out := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && f[3] == "gauge" {
+			gauges[f[2]] = true
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		series := line[:i]
+		if gauges[strings.SplitN(series, "{", 2)[0]] {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// TestRetentionKeepsCountersMonotone: evicting a finished job must not
+// lower any daemon-wide counter — its engine counters stay in the
+// totals after its record is gone.
+func TestRetentionKeepsCountersMonotone(t *testing.T) {
+	graphs := t.TempDir()
+	writeFigure1(t, graphs, "fig1.graph")
+	srv, hs := testServer(t, Config{
+		GraphRoot: graphs, StateDir: t.TempDir(), CheckpointEvery: -1,
+		RetainTTL: time.Hour, RetainMax: 1, RetainSweep: time.Hour,
+	})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		id, _ := submitJob(t, hs.URL, "", map[string]any{
+			"graph": "fig1.graph", "method": "ols", "trials": 2000, "prep_trials": 50, "seed": 7 + i,
+		})
+		if id == "" {
+			t.Fatal("submission rejected")
+		}
+		if doc := waitState(t, hs.URL, id, JobDone, JobFailed); doc.State != JobDone {
+			t.Fatalf("job %s failed: %s", id, doc.Error)
+		}
+		ids = append(ids, id)
+	}
+	before := nonGaugeSeries(t, fetchMetrics(t, hs.URL))
+	if before["mpmb_trials_total"] != 4000 {
+		t.Fatalf("mpmb_trials_total = %v before eviction, want 4000", before["mpmb_trials_total"])
+	}
+	sweepUntilGone(t, srv, hs.URL, ids[0], time.Now())
+	after := nonGaugeSeries(t, fetchMetrics(t, hs.URL))
+	for series, v := range before {
+		if after[series] < v {
+			t.Errorf("%s fell from %v to %v after eviction", series, v, after[series])
+		}
+	}
 }

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/dist"
+	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
 // Config sizes the daemon. The zero value is not usable: construct via
@@ -166,6 +167,9 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*Job
+	// retired holds the engine counters of jobs evicted from jobs, so
+	// the daemon-wide counters never fall (see aggregateMetrics).
+	retired telemetry.Metrics
 
 	draining  chan struct{} // closed when admission stops
 	drainOnce sync.Once

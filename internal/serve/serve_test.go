@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -795,6 +796,82 @@ func TestMetricsAggregation(t *testing.T) {
 	for _, want := range []string{"mpmb_serve_jobs_submitted_total 2", "mpmb_serve_jobs_completed_total 2", "mpmb_serve_draining 0"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// waitRunnerExit blocks until the job's runner has drained its observer
+// and closed the event log, so the job's journal is complete.
+func waitRunnerExit(t *testing.T, srv *Server, id string) *Job {
+	t.Helper()
+	j, ok := srv.job(id)
+	if !ok {
+		t.Fatalf("job %s not found", id)
+	}
+	deadline := time.After(30 * time.Second)
+	for {
+		_, wake, closed := j.events.since(math.MaxInt64)
+		if closed {
+			return j
+		}
+		select {
+		case <-wake:
+		case <-deadline:
+			t.Fatalf("job %s runner never exited", id)
+		}
+	}
+}
+
+// TestConcurrentJobsOwnCheckpointTelemetry: two sliced jobs running at
+// once must each see only their own checkpoint saves — every
+// checkpoint_saved event in a job's journal names that job's checkpoint
+// file, and the job's CheckpointSaves counter equals their number.
+func TestConcurrentJobsOwnCheckpointTelemetry(t *testing.T) {
+	graphs := t.TempDir()
+	buildMeshGraph(t, graphs, "mesh.graph")
+	state := t.TempDir()
+	srv, hs := testServer(t, Config{
+		GraphRoot: graphs, StateDir: state, Workers: 2,
+		CheckpointEvery: 2 * time.Millisecond, JournalEvents: true,
+	})
+	var ids []string
+	for seed := 1; seed <= 2; seed++ {
+		id, _ := submitJob(t, hs.URL, "", map[string]any{"graph": "mesh.graph", "method": "os", "trials": 30000, "seed": seed})
+		if id == "" {
+			t.Fatal("submission rejected")
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if doc := waitState(t, hs.URL, id, JobDone, JobFailed); doc.State != JobDone {
+			t.Fatalf("job %s failed: %s", id, doc.Error)
+		}
+		m := waitRunnerExit(t, srv, id).liveMetrics()
+		f, err := os.Open(filepath.Join(state, "events", id+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saves := 0
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			var e mpmb.Event
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Kind != mpmb.EventCheckpointSaved {
+				continue
+			}
+			if want := srv.store.checkpointPath(id); e.Detail != want {
+				t.Errorf("job %s journal has a save of %s, want only %s", id, e.Detail, want)
+			}
+			saves++
+		}
+		f.Close()
+		if saves == 0 {
+			t.Fatalf("job %s saved no checkpoint; the test needs slicing", id)
+		}
+		if m == nil || m.EventsDropped != 0 || m.CheckpointSaves != int64(saves) {
+			t.Errorf("job %s: metrics %+v, want CheckpointSaves = %d journaled saves and no drops", id, m, saves)
 		}
 	}
 }

@@ -19,11 +19,11 @@ import (
 //
 // Manifests and results are written temp-file-then-rename so a crash at
 // any instant leaves either the old bytes or the new bytes, never a torn
-// file. Checkpoints go through core.CheckpointStore, which adds retry
-// with exponential backoff on top of the same atomic protocol.
+// file. Checkpoints go through the running job's core.CheckpointStore,
+// which adds retry with exponential backoff on top of the same atomic
+// protocol.
 type stateStore struct {
-	dir  string
-	ckpt *core.CheckpointStore
+	dir string
 }
 
 func newStateStore(dir string) (*stateStore, error) {
@@ -32,7 +32,7 @@ func newStateStore(dir string) (*stateStore, error) {
 			return nil, fmt.Errorf("serve: creating state dir: %w", err)
 		}
 	}
-	return &stateStore{dir: dir, ckpt: core.NewCheckpointStore(core.DefaultRetryPolicy())}, nil
+	return &stateStore{dir: dir}, nil
 }
 
 func (st *stateStore) manifestPath(id string) string {
@@ -116,15 +116,15 @@ func (st *stateStore) loadManifests() ([]manifest, error) {
 	return out, nil
 }
 
-// saveCheckpoint persists a job's engine checkpoint through the
+// saveCheckpoint persists a job's engine checkpoint through the job's
 // retrying store.
-func (st *stateStore) saveCheckpoint(id string, ck *core.Checkpoint) error {
-	return st.ckpt.Save(st.checkpointPath(id), ck)
+func (st *stateStore) saveCheckpoint(cs *core.CheckpointStore, id string, ck *core.Checkpoint) error {
+	return cs.Save(st.checkpointPath(id), ck)
 }
 
 // loadCheckpoint returns the job's checkpoint, or (nil, nil) when none
 // exists — absence is the common case, not an error worth retrying.
-func (st *stateStore) loadCheckpoint(id string) (*core.Checkpoint, error) {
+func (st *stateStore) loadCheckpoint(cs *core.CheckpointStore, id string) (*core.Checkpoint, error) {
 	path := st.checkpointPath(id)
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
@@ -132,7 +132,7 @@ func (st *stateStore) loadCheckpoint(id string) (*core.Checkpoint, error) {
 		}
 		return nil, err
 	}
-	return st.ckpt.Load(path)
+	return cs.Load(path)
 }
 
 func (st *stateStore) removeCheckpoint(id string) {

@@ -30,8 +30,7 @@ var Methods = []Method{MethodExact, MethodMCVP, MethodOS, MethodOLSKL, MethodOLS
 // Options configures a search. DefaultOptions matches the paper's
 // experimental setup.
 type Options struct {
-	// Method picks the algorithm for Search (ignored by the SearchXXX
-	// functions, which are explicit). Empty means MethodOLS.
+	// Method picks the algorithm. Empty means MethodOLS.
 	Method Method
 	// Trials is the sampling trial count N: the number of sampled worlds
 	// for MC-VP and OS, N_op for OLS, and the Equation 8 base for OLS-KL.
@@ -53,7 +52,8 @@ type Options struct {
 	// Resume continues a cancelled run from the Checkpoint attached to its
 	// partial Result (see SearchContext). The options must match the
 	// checkpointed run; the finished result is bit-identical to an
-	// uninterrupted one. Supported by mc-vp, os, ols and ols-kl.
+	// uninterrupted one. Supported by mc-vp, os, ols and ols-kl; anchored
+	// and per-community queries reject it (see Query).
 	Resume *Checkpoint
 	// Observer, if non-nil, instruments the run: counters, gauges and the
 	// trial-latency histogram accumulate into it (snapshot any time via
@@ -69,7 +69,8 @@ type Options struct {
 	// every trial unit's random stream derives from (Seed, unit index),
 	// any conforming executor returns a Result bit-identical to the
 	// sequential run with the same options. Supported by os, ols and
-	// ols-kl, without adaptive options; exact and mc-vp reject it.
+	// ols-kl, without adaptive options; exact and mc-vp reject it, as do
+	// anchored and per-community queries.
 	Executor Executor
 
 	// The adaptive options below route the run through the supervisor
@@ -129,10 +130,10 @@ func DefaultOptions() Options {
 }
 
 // OptionError reports which Options field made a search configuration
-// invalid. Every entry point (Search, SearchContext, the Searcher, the
-// deprecated SearchXXX facades, and Options.Validate) returns one for a
-// bad configuration; match with errors.As to recover the field name —
-// the CLIs use it to point at the offending flag.
+// invalid. Every entry point (Search, SearchContext, the Searcher
+// methods and Options.Validate) returns one for a bad configuration;
+// match with errors.As to recover the field name — the CLIs use it to
+// point at the offending flag.
 type OptionError struct {
 	// Field is the Options field name, e.g. "Trials" or "Epsilon".
 	Field string
@@ -153,18 +154,10 @@ func (e *OptionError) Error() string {
 // parsing, config loading — before paying for a graph.
 func (o Options) Validate() error {
 	m := o.Method
-	if m == "" {
-		m = MethodOLS
-	}
-	return o.validateFor(m)
-}
-
-// validateFor checks the options against the method that will actually
-// run — the Search dispatcher passes o.Method, while the explicit
-// SearchXXX functions pass their own method so o.Method is ignored.
-func (o Options) validateFor(m Method) error {
 	switch m {
-	case MethodExact, MethodMCVP, MethodOS, MethodOLS, MethodOLSKL, Method(""):
+	case "":
+		m = MethodOLS
+	case MethodExact, MethodMCVP, MethodOS, MethodOLS, MethodOLSKL:
 	default:
 		return &OptionError{Field: "Method", Value: m, Reason: "unknown method"}
 	}
@@ -198,7 +191,7 @@ func (o Options) validateFor(m Method) error {
 	}
 	if o.AuditEvery > 0 {
 		switch m {
-		case MethodOLS, MethodOLSKL, Method(""):
+		case MethodOLS, MethodOLSKL:
 		default:
 			return &OptionError{Field: "AuditEvery", Value: o.AuditEvery, Reason: fmt.Sprintf("only applies to the OLS methods (method %q has no candidate truncation to audit)", m)}
 		}
@@ -234,7 +227,7 @@ func (o Options) validateFor(m Method) error {
 		return &OptionError{Field: "Trials", Value: o.Trials, Reason: "must be positive (use DefaultOptions for the paper setup)"}
 	}
 	switch m {
-	case MethodOLS, MethodOLSKL, Method(""):
+	case MethodOLS, MethodOLSKL:
 		if o.PrepTrials == 0 {
 			return &OptionError{Field: "PrepTrials", Value: o.PrepTrials, Reason: "OLS methods need PrepTrials > 0"}
 		}

@@ -2,11 +2,8 @@ package mpmb
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
-	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
 // EdgeAnchor names a backbone edge (U ∈ L, V ∈ R) for an edge-anchored
@@ -54,7 +51,9 @@ type Communities struct {
 // GOMAXPROCS) with each community's run kept sequential; per-community
 // seeds derive deterministically from (Options.Seed, label). The merged
 // Result concatenates each community's top-k estimates and carries the
-// full per-community results in Result.Communities.
+// full per-community results in Result.Communities. Like anchored
+// queries, they reject Resume, Executor and the adaptive supervisor
+// options.
 //
 // AdaptivePrep runs a sublinear butterfly-count pre-pass (sampled
 // per-edge wedge expectations, after the approximate-counting literature)
@@ -62,7 +61,10 @@ type Communities struct {
 // the query — per community for community queries, anchored for anchored
 // ones. The sizing decision is recorded in Result.Adaptive.PrepSizing.
 // It applies to the OLS methods only (Options.PrepTrials is then
-// ignored).
+// ignored). The pre-pass is deterministic in (graph, Seed), so a global
+// AdaptivePrep query composes with Resume, Executor and the adaptive
+// supervisor options: a resumed run or a remote worker arrives at the
+// same PrepTrials and entry method.
 type Query struct {
 	// AnchorL anchors the query on a left vertex.
 	AnchorL *VertexID
@@ -95,11 +97,6 @@ func (q *Query) anchorCount() int {
 
 // anchored reports whether any anchor field is set.
 func (q *Query) anchored() bool { return q.anchorCount() > 0 }
-
-// active reports whether the query differs from the global default.
-func (q *Query) active() bool {
-	return q != nil && (q.anchored() || q.Community != nil || q.AdaptivePrep)
-}
 
 // anchorField names the set anchor field for error attribution.
 func (q *Query) anchorField() (string, any) {
@@ -166,21 +163,21 @@ func (q *Query) validate(o Options, m Method) error {
 		f, v := q.anchorField()
 		return &OptionError{Field: f, Value: v, Reason: "anchored queries support exact, os, ols and ols-kl; mc-vp enumerates whole worlds and cannot restrict to the anchor"}
 	}
-	if q.active() {
+	if anchors > 0 || q.Community != nil {
 		if o.Resume != nil {
-			return &OptionError{Field: "Resume", Value: o.Resume, Reason: "query variants cannot resume from a checkpoint"}
+			return &OptionError{Field: "Resume", Value: o.Resume, Reason: "anchored and per-community queries cannot resume from a checkpoint"}
 		}
 		if o.Executor != nil {
-			return &OptionError{Field: "Executor", Value: o.Executor, Reason: "query variants do not support an explicit Executor yet; use Options.Workers"}
+			return &OptionError{Field: "Executor", Value: o.Executor, Reason: "anchored and per-community queries do not support an explicit Executor yet; use Options.Workers"}
 		}
-	}
-	if (anchors > 0 || q.Community != nil) && o.adaptive() {
-		f, v := o.adaptiveField()
-		return &OptionError{Field: f, Value: v, Reason: "adaptive supervision does not compose with anchored or per-community queries yet; use Query.AdaptivePrep for adaptive preparation sizing"}
+		if o.adaptive() {
+			f, v := o.adaptiveField()
+			return &OptionError{Field: f, Value: v, Reason: "adaptive supervision does not compose with anchored or per-community queries yet; use Query.AdaptivePrep for adaptive preparation sizing"}
+		}
 	}
 	if q.AdaptivePrep {
 		switch m {
-		case MethodOLS, MethodOLSKL, Method(""):
+		case MethodOLS, MethodOLSKL:
 		default:
 			return &OptionError{Field: "Query.AdaptivePrep", Value: true, Reason: fmt.Sprintf("adaptive preparation sizing applies to the OLS methods (method %q has no preparing phase)", m)}
 		}
@@ -210,103 +207,17 @@ func attachSizing(res *Result, s core.PrepSizing) {
 // expected butterfly population exceeds the listing ceiling, the method
 // enters the degradation ladder at OS. Supervised runs keep their OLS
 // entry — the supervisor owns ladder transitions.
-func applySizing(g *Graph, opt *Options, method Method, anchor *core.Anchor) (core.PrepSizing, Method) {
-	s := core.SizePrep(g, anchor, opt.Seed)
+func applySizing(g *Graph, opt *Options, anchor core.Anchor) core.PrepSizing {
+	var a *core.Anchor
+	if anchor.Kind != 0 {
+		a = &anchor
+	}
+	s := core.SizePrep(g, a, opt.Seed)
 	opt.PrepTrials = s.PrepTrials
 	if s.EntryMethod == "os" && !opt.adaptive() {
-		method = MethodOS
+		opt.Method = MethodOS
 	}
-	return s, method
-}
-
-// searchAnchored runs a validated anchored query.
-func searchAnchored(g *Graph, opt Options, method Method, interrupt func() bool) (*Result, error) {
-	a, err := opt.Query.coreAnchor(g)
-	if err != nil {
-		return nil, err
-	}
-	var sizing *core.PrepSizing
-	if opt.Query.AdaptivePrep {
-		s, m := applySizing(g, &opt, method, &a)
-		sizing, method = &s, m
-	}
-	probe := opt.Observer.probe(method, opt.Workers)
-	var res *Result
-	switch method {
-	case MethodExact:
-		res, err = core.ExactAnchored(g, a)
-	case MethodOS:
-		res, err = runAnchoredOS(g, a, opt, interrupt, probe)
-	default: // MethodOLS, MethodOLSKL
-		res, err = core.AnchoredOLS(g, a, core.OLSOptions{
-			PrepTrials:  opt.PrepTrials,
-			Trials:      opt.Trials,
-			Seed:        opt.Seed,
-			UseKarpLuby: method == MethodOLSKL,
-			KL:          core.KLOptions{Mu: opt.Mu},
-			Interrupt:   interrupt,
-			Probe:       probe,
-		}, opt.Workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sizing != nil {
-		attachSizing(res, *sizing)
-	}
-	finishMetrics(opt.Observer, res)
-	return res, nil
-}
-
-// runAnchoredOS routes to the sequential or parallel anchored counting
-// runner.
-func runAnchoredOS(g *Graph, a core.Anchor, opt Options, interrupt func() bool, probe *telemetry.Probe) (*Result, error) {
-	osOpt := core.OSOptions{
-		Trials:    opt.Trials,
-		Seed:      opt.Seed,
-		Interrupt: interrupt,
-		Probe:     probe,
-	}
-	if opt.Workers > 0 {
-		return core.AnchoredOSParallel(g, a, osOpt, opt.Workers)
-	}
-	return core.AnchoredOS(g, a, osOpt)
-}
-
-// runAnchoredOrGlobalOS is the sized ladder-entry runner: when the
-// pre-pass picks OS as the entry method, the run skips the preparing
-// phase entirely — anchored when the anchor is set, global otherwise.
-func runAnchoredOrGlobalOS(g *Graph, a core.Anchor, opt Options, interrupt func() bool) (*Result, error) {
-	probe := opt.Observer.probe(MethodOS, opt.Workers)
-	if a.Kind != 0 {
-		return runAnchoredOS(g, a, opt, interrupt, probe)
-	}
-	osOpt := core.OSOptions{
-		Trials:    opt.Trials,
-		Seed:      opt.Seed,
-		Interrupt: interrupt,
-		Probe:     probe,
-	}
-	if opt.Workers > 0 {
-		return core.OSParallel(g, osOpt, opt.Workers)
-	}
-	return core.OS(g, osOpt)
-}
-
-// searchCommunities runs a validated per-community query, fanning
-// communities out across workers with the package-level runner.
-func searchCommunities(g *Graph, opt Options, method Method, interrupt func() bool) (*Result, error) {
-	subs, err := communitySubgraphs(g, opt.Query.Community)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := runCommunities(subs, opt, func(i int, cg core.CommunityGraph, innerOpt Options) (*Result, error) {
-		return searchHook(cg.G, innerOpt, interrupt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleCommunities(opt, method, parts)
+	return s
 }
 
 // communitySubgraphs splits the graph, mapping spec errors to the
@@ -321,81 +232,4 @@ func communitySubgraphs(g *Graph, c *Communities) ([]core.CommunityGraph, error)
 		}
 	}
 	return subs, nil
-}
-
-// runCommunities executes one run per community with bounded
-// concurrency. run receives the community's index, subgraph and derived
-// inner options, and returns the subgraph-relative result (remapping to
-// parent ids happens here). The first error in community order wins.
-func runCommunities(subs []core.CommunityGraph, opt Options, run func(i int, cg core.CommunityGraph, innerOpt Options) (*Result, error)) ([]core.CommunityResult, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]*Result, len(subs))
-	errs := make([]error, len(subs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cg := subs[i]
-			res, err := run(i, cg, communityInnerOptions(opt, cg.ID))
-			if err != nil {
-				errs[i] = fmt.Errorf("community %d: %w", cg.ID, err)
-				return
-			}
-			results[i] = cg.RemapResult(res)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	parts := make([]core.CommunityResult, len(subs))
-	for i, cg := range subs {
-		parts[i] = core.CommunityResult{Community: cg.ID, Result: results[i]}
-	}
-	return parts, nil
-}
-
-// communityInnerOptions derives one community's run options: a
-// per-community seed (deterministic in the top-level seed and the
-// label), a sequential inner run (the fan-out happens at the community
-// level), and no observer (the top-level result carries the merged
-// metrics snapshot).
-func communityInnerOptions(opt Options, id int) Options {
-	inner := opt
-	inner.Workers = 0
-	inner.Observer = nil
-	inner.Query = nil
-	if opt.Query != nil && opt.Query.AdaptivePrep {
-		inner.Query = &Query{AdaptivePrep: true}
-	}
-	inner.Seed = opt.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15
-	return inner
-}
-
-// assembleCommunities merges the per-community parts into the top-level
-// Result.
-func assembleCommunities(opt Options, method Method, parts []core.CommunityResult) (*Result, error) {
-	prep := 0
-	switch method {
-	case MethodOLS, MethodOLSKL:
-		prep = opt.PrepTrials
-	}
-	res := core.AssembleCommunityResult(string(method), opt.Trials, prep, opt.Query.Community.TopK, parts)
-	finishMetrics(opt.Observer, res)
-	return res, nil
 }

@@ -2,7 +2,11 @@ package mpmb
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
@@ -13,7 +17,9 @@ import (
 // preparing phase, which dominates total cost on large networks (Fig. 8):
 // candidate sets are cached per (PrepTrials, Seed), so sweeping sampling
 // budgets, switching between the OLS and OLS-KL estimators, or asking for
-// different top-k views pays for candidate listing once.
+// different top-k views pays for candidate listing once. The
+// package-level Search and SearchContext run on a fresh Searcher, so a
+// Searcher returns bit-identical Results to them.
 //
 // A Searcher is safe for concurrent use. Concurrent searches needing the
 // same (PrepTrials, Seed) candidate set are single-flighted: one caller
@@ -38,11 +44,11 @@ type candKey struct {
 }
 
 // candEntry is one single-flight slot: ready closes when the preparing
-// phase finishes, after which cands/err are immutable.
+// phase finishes, after which cands is immutable. cands stays nil when
+// the flight failed or was cut short; such a slot is never shared.
 type candEntry struct {
 	ready chan struct{}
 	cands *core.Candidates
-	err   error
 }
 
 // commEntry is one cached community split: the induced subgraphs plus a
@@ -71,125 +77,308 @@ func NewSearcher(g *Graph) *Searcher {
 // Graph returns the wrapped graph.
 func (s *Searcher) Graph() *Graph { return s.g }
 
-// Search dispatches like the package-level Search, but OLS-family methods
-// reuse the cached candidate set for (opt.PrepTrials, opt.Seed) instead of
-// re-running the preparing phase. Results are identical to the one-shot
-// functions with the same options.
+// Search runs the method selected in opt, like the package-level Search,
+// but OLS-family methods reuse the cached candidate set for
+// (opt.PrepTrials, opt.Seed) instead of re-running the preparing phase.
 func (s *Searcher) Search(opt Options) (*Result, error) {
-	return s.searchHook(opt, nil)
+	return s.run(opt, nil)
 }
 
 // SearchContext is Search with the package-level SearchContext's
 // graceful-degradation contract: cancelling ctx returns a partial Result
 // (with a resumable Checkpoint for the resumable methods) instead of
-// discarding the completed trials. Resume a sampling-phase checkpoint by
-// passing it back via opt.Resume; a prepare-phase OLS checkpoint must go
-// through the package-level SearchContext, which re-runs the preparing
-// phase the Searcher would otherwise cache.
+// discarding the completed trials. Pass the checkpoint back via
+// opt.Resume, on this or any other Searcher or through SearchContext, to
+// finish the run bit-identically.
 func (s *Searcher) SearchContext(ctx context.Context, opt Options) (*Result, error) {
-	return s.searchHook(opt, ctxHook(ctx))
+	return s.run(opt, ctxHook(ctx))
 }
 
-func (s *Searcher) searchHook(opt Options, interrupt func() bool) (*Result, error) {
-	switch opt.Method {
-	case MethodOLS, MethodOLSKL, Method(""):
-		method := opt.Method
-		if method == "" {
-			method = MethodOLS
-		}
-		if err := opt.validateFor(method); err != nil {
-			return nil, err
-		}
-		if q := opt.Query; q != nil && q.Community != nil {
-			return s.searchCommunities(opt, method, interrupt)
-		}
-		anchor := core.Anchor{}
-		var sizing *core.PrepSizing
-		if q := opt.Query; q != nil {
-			if q.anchored() {
-				a, err := q.coreAnchor(s.g)
-				if err != nil {
-					return nil, err
-				}
-				anchor = a
-			}
-			if q.AdaptivePrep {
-				var sizeAnchor *core.Anchor
-				if anchor.Kind != 0 {
-					sizeAnchor = &anchor
-				}
-				sz, m := applySizing(s.g, &opt, method, sizeAnchor)
-				sizing = &sz
-				if m == MethodOS {
-					// The sizing pre-pass entered the ladder at OS: no
-					// preparing phase, so no candidate cache involved.
-					res, err := runAnchoredOrGlobalOS(s.g, anchor, opt, interrupt)
-					if err != nil {
-						return nil, err
-					}
-					attachSizing(res, sz)
-					finishMetrics(opt.Observer, res)
-					return res, nil
-				}
-			}
-		}
-		probe := opt.Observer.probe(method, opt.Workers)
-		// The preparing phase is only instrumented when this call actually
-		// runs it; a cache hit reports no prep trials — the metrics
-		// reflect work done, not work reused.
-		cands, err := s.candidatesProbe(opt.PrepTrials, opt.Seed, anchor, probe)
-		if err != nil {
-			return nil, err
-		}
-		var res *Result
-		if opt.adaptive() {
-			// The supervisor seeds from the cached candidate set; an audit
-			// escalation re-prepares past it (the widened set is not cached
-			// back — it depends on audit state, not on (PrepTrials, Seed)).
-			// Anchored queries reject the adaptive options, so this branch
-			// only runs with the global candidate set.
-			res, err = core.Supervise(s.g, supervisorOptions(opt, method, interrupt, cands, probe))
-		} else {
-			res, err = core.OLSSamplingPhaseParallel(cands, core.OLSOptions{
-				PrepTrials:  opt.PrepTrials,
-				Trials:      opt.Trials,
-				Seed:        opt.Seed,
-				UseKarpLuby: method == MethodOLSKL,
-				KL:          core.KLOptions{Mu: opt.Mu},
-				Interrupt:   interrupt,
-				Resume:      opt.Resume,
-				Probe:       probe,
-				Executor:    opt.Executor,
-			}, opt.Workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if sizing != nil {
-			attachSizing(res, *sizing)
-		}
-		finishMetrics(opt.Observer, res)
-		return res, nil
-	default:
-		return searchHook(s.g, opt, interrupt)
+// run backs Search, SearchContext and both Searcher methods: it
+// validates the options, resolves the query, runs the method and stamps
+// the final Metrics snapshot onto the result.
+func (s *Searcher) run(opt Options, interrupt func() bool) (*Result, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-}
-
-// searchCommunities is the Searcher's community fan-out: the split and
-// one child Searcher per community are cached, so each community's
-// preparing phase is listed once across repeated queries.
-func (s *Searcher) searchCommunities(opt Options, method Method, interrupt func() bool) (*Result, error) {
-	subs, kids, err := s.communityEntry(opt.Query.Community)
+	if opt.Method == "" {
+		opt.Method = MethodOLS
+	}
+	var res *Result
+	var err error
+	if q := opt.Query; q != nil && q.Community != nil {
+		res, err = s.searchCommunities(opt, interrupt)
+	} else {
+		res, err = s.searchGraph(opt, interrupt)
+	}
 	if err != nil {
 		return nil, err
 	}
-	parts, err := runCommunities(subs, opt, func(i int, cg core.CommunityGraph, innerOpt Options) (*Result, error) {
-		return kids[i].searchHook(innerOpt, interrupt)
+	finishMetrics(opt.Observer, res)
+	return res, nil
+}
+
+// searchGraph runs a global, anchored or sized query on the whole graph.
+func (s *Searcher) searchGraph(opt Options, interrupt func() bool) (*Result, error) {
+	var anchor core.Anchor
+	var sizing *core.PrepSizing
+	if q := opt.Query; q != nil {
+		if q.anchored() {
+			a, err := q.coreAnchor(s.g)
+			if err != nil {
+				return nil, err
+			}
+			anchor = a
+		}
+		if q.AdaptivePrep {
+			sz := applySizing(s.g, &opt, anchor)
+			sizing = &sz
+		}
+	}
+	res, err := s.runMethod(opt, anchor, interrupt)
+	if err != nil {
+		return nil, err
+	}
+	if sizing != nil {
+		attachSizing(res, *sizing)
+	}
+	return res, nil
+}
+
+// runMethod hands a resolved query to the method's core runner.
+func (s *Searcher) runMethod(opt Options, anchor core.Anchor, interrupt func() bool) (*Result, error) {
+	probe := opt.Observer.probe(opt.Method, opt.Workers)
+	anchored := anchor.Kind != 0
+	switch opt.Method {
+	case MethodExact:
+		if anchored {
+			return core.ExactAnchored(s.g, anchor)
+		}
+		return core.ExactInterruptible(s.g, interrupt)
+	case MethodOLS, MethodOLSKL:
+		return s.runOLS(opt, anchor, interrupt, probe)
+	}
+	if opt.adaptive() {
+		return core.Supervise(s.g, supervisorOptions(opt, interrupt, nil, probe))
+	}
+	if opt.Method == MethodMCVP {
+		return core.MCVP(s.g, core.MCVPOptions{
+			Trials:    opt.Trials,
+			Seed:      opt.Seed,
+			Interrupt: interrupt,
+			Resume:    opt.Resume,
+			Probe:     probe,
+		})
+	}
+	osOpt := core.OSOptions{
+		Trials:    opt.Trials,
+		Seed:      opt.Seed,
+		Interrupt: interrupt,
+		Resume:    opt.Resume,
+		Probe:     probe,
+		Executor:  opt.Executor,
+	}
+	switch {
+	case anchored && opt.Workers > 0:
+		return core.AnchoredOSParallel(s.g, anchor, osOpt, opt.Workers)
+	case anchored:
+		return core.AnchoredOS(s.g, anchor, osOpt)
+	case opt.Workers > 0 || opt.Executor != nil:
+		return core.OSParallel(s.g, osOpt, opt.Workers)
+	}
+	return core.OS(s.g, osOpt)
+}
+
+// runOLS runs the OLS methods over the cached preparing phase.
+func (s *Searcher) runOLS(opt Options, anchor core.Anchor, interrupt func() bool, probe *telemetry.Probe) (*Result, error) {
+	if opt.adaptive() && opt.Resume != nil {
+		// The supervisor owns a resumed run's preparing phase: a
+		// checkpoint cut after an escalation targets more preparing
+		// trials than the cache key names.
+		return core.Supervise(s.g, supervisorOptions(opt, interrupt, nil, probe))
+	}
+	olsOpt := core.OLSOptions{
+		PrepTrials:  opt.PrepTrials,
+		Trials:      opt.Trials,
+		Seed:        opt.Seed,
+		UseKarpLuby: opt.Method == MethodOLSKL,
+		KL:          core.KLOptions{Mu: opt.Mu},
+		Interrupt:   interrupt,
+		Resume:      opt.Resume,
+		Probe:       probe,
+		Executor:    opt.Executor,
+	}
+	prepOpt := olsOpt
+	switch {
+	case opt.Resume != nil && !opt.Resume.Prepare:
+		// The resumed run's preparing phase completed once already;
+		// cutting it now would return a checkpoint behind the resumed one.
+		prepOpt.Interrupt = nil
+	case !opt.Deadline.IsZero():
+		prepOpt.Interrupt = func() bool {
+			return interrupt != nil && interrupt() || !time.Now().Before(opt.Deadline)
+		}
+	}
+	key := candKey{prepTrials: opt.PrepTrials, seed: opt.Seed, anchor: anchor}
+	cands, part, err := s.prepared(key, func() (*core.Candidates, *Result, error) {
+		return core.PrepareOLS(s.g, anchor, prepOpt)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return assembleCommunities(opt, method, parts)
+	if opt.adaptive() {
+		sup := supervisorOptions(opt, interrupt, cands, probe)
+		if part != nil {
+			// Resuming the cut preparing phase under the same hooks, which
+			// stay fired, stops it again at once: the supervisor then
+			// reports the stop in its own terms.
+			sup.Resume = part.Checkpoint
+		}
+		return core.Supervise(s.g, sup)
+	}
+	if part != nil {
+		return part, nil
+	}
+	return core.OLSSamplingPhaseParallel(cands, olsOpt, opt.Workers)
+}
+
+// supervisorOptions maps the public adaptive options onto the core
+// supervisor's configuration. prepared threads the cached candidate set
+// (nil lets the supervisor prepare its own).
+func supervisorOptions(opt Options, interrupt func() bool, prepared *core.Candidates, probe *telemetry.Probe) core.SupervisorOptions {
+	return core.SupervisorOptions{
+		Method:         string(opt.Method),
+		Trials:         opt.Trials,
+		PrepTrials:     opt.PrepTrials,
+		Seed:           opt.Seed,
+		Workers:        opt.Workers,
+		AuditEvery:     opt.AuditEvery,
+		MaxEscalations: opt.MaxEscalations,
+		Epsilon:        opt.Epsilon,
+		Deadline:       opt.Deadline,
+		StallTimeout:   opt.StallTimeout,
+		Interrupt:      interrupt,
+		KL:             core.KLOptions{Mu: opt.Mu},
+		Prepared:       prepared,
+		Resume:         opt.Resume,
+		Probe:          probe,
+	}
+}
+
+// prepared returns the completed preparing phase for key, running prep
+// at most once across concurrent callers. Only a completed phase is
+// cached and shared: when a flight fails or is cut short, its own caller
+// gets prep's result, and callers that waited on it run their own.
+func (s *Searcher) prepared(key candKey, prep func() (*core.Candidates, *Result, error)) (*core.Candidates, *Result, error) {
+	s.mu.Lock()
+	for {
+		e, ok := s.cands[key]
+		if !ok {
+			break
+		}
+		s.mu.Unlock()
+		// A completed phase (ready already closed) or one in flight;
+		// wait rather than duplicating the work. The follower's probe
+		// records nothing for the preparing phase — the metrics reflect
+		// work done, not work awaited.
+		<-e.ready
+		if e.cands != nil {
+			return e.cands, nil, nil
+		}
+		s.mu.Lock()
+	}
+	e := &candEntry{ready: make(chan struct{})}
+	s.cands[key] = e
+	s.mu.Unlock()
+
+	// Prepare outside the lock: the phase is expensive and the slot
+	// already claims the key, so concurrent identical preps run once.
+	cands, part, err := prep()
+	if cands != nil {
+		e.cands = cands
+	} else {
+		s.mu.Lock()
+		delete(s.cands, key)
+		s.mu.Unlock()
+	}
+	close(e.ready)
+	return cands, part, err
+}
+
+// CandidateCount reports how many candidate butterflies the preparing
+// phase for (prepTrials, seed) finds, materializing (and caching) it.
+func (s *Searcher) CandidateCount(prepTrials int, seed uint64) (int, error) {
+	cands, _, err := s.prepared(candKey{prepTrials: prepTrials, seed: seed}, func() (*core.Candidates, *Result, error) {
+		return core.PrepareOLS(s.g, core.Anchor{}, core.OLSOptions{PrepTrials: prepTrials, Seed: seed})
+	})
+	if err != nil {
+		return 0, err
+	}
+	return cands.Len(), nil
+}
+
+// searchCommunities runs a per-community query: one run per community
+// on a cached child Searcher, fanned out with bounded concurrency, then
+// merged into the top-level Result. The first error in community order
+// wins.
+func (s *Searcher) searchCommunities(opt Options, interrupt func() bool) (*Result, error) {
+	subs, kids, err := s.communityEntry(opt.Query.Community)
+	if err != nil {
+		return nil, err
+	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]*Result, len(subs))
+	errs := make([]error, len(subs))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range subs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			cg := subs[i]
+			res, err := kids[i].run(communityInnerOptions(opt, cg.ID), interrupt)
+			if err != nil {
+				errs[i] = fmt.Errorf("community %d: %w", cg.ID, err)
+				return
+			}
+			results[i] = cg.RemapResult(res)
+		}(i)
+	}
+	wg.Wait()
+	parts := make([]core.CommunityResult, len(subs))
+	for i, cg := range subs {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		parts[i] = core.CommunityResult{Community: cg.ID, Result: results[i]}
+	}
+	prep := 0
+	if opt.Method == MethodOLS || opt.Method == MethodOLSKL {
+		prep = opt.PrepTrials
+	}
+	return core.AssembleCommunityResult(string(opt.Method), opt.Trials, prep, opt.Query.Community.TopK, parts), nil
+}
+
+// communityInnerOptions derives one community's run options: a
+// per-community seed (deterministic in the top-level seed and the
+// label), a sequential inner run (the fan-out happens at the community
+// level), and no observer (the top-level result carries the merged
+// metrics snapshot).
+func communityInnerOptions(opt Options, id int) Options {
+	inner := opt
+	inner.Workers = 0
+	inner.Observer = nil
+	inner.Query = nil
+	if opt.Query.AdaptivePrep {
+		inner.Query = &Query{AdaptivePrep: true}
+	}
+	inner.Seed = opt.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15
+	return inner
 }
 
 // communityEntry returns the cached (or freshly built) community split
@@ -203,11 +392,11 @@ func (s *Searcher) communityEntry(c *Communities) ([]core.CommunityGraph, []*Sea
 	if ok {
 		s.mu.Unlock()
 		<-e.ready
-		if e.err == nil && intsEqual(e.specL, c.L) && intsEqual(e.specR, c.R) {
-			return e.subs, e.kids, nil
-		}
 		if e.err != nil {
 			return nil, nil, e.err
+		}
+		if slices.Equal(e.specL, c.L) && slices.Equal(e.specR, c.R) {
+			return e.subs, e.kids, nil
 		}
 		// Hash collision: build uncached.
 		subs, err := communitySubgraphs(s.g, c)
@@ -216,7 +405,7 @@ func (s *Searcher) communityEntry(c *Communities) ([]core.CommunityGraph, []*Sea
 		}
 		return subs, communityKids(subs), nil
 	}
-	e = &commEntry{ready: make(chan struct{}), specL: append([]int(nil), c.L...), specR: append([]int(nil), c.R...)}
+	e = &commEntry{ready: make(chan struct{}), specL: slices.Clone(c.L), specR: slices.Clone(c.R)}
 	s.comms[key] = e
 	s.mu.Unlock()
 
@@ -258,68 +447,4 @@ func communityLabelHash(l, r []int) uint64 {
 		mix(uint64(int64(c)))
 	}
 	return h
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CandidateCount reports how many candidate butterflies the preparing
-// phase for (prepTrials, seed) finds, materializing (and caching) it.
-func (s *Searcher) CandidateCount(prepTrials int, seed uint64) (int, error) {
-	cands, err := s.candidates(prepTrials, seed)
-	if err != nil {
-		return 0, err
-	}
-	return cands.Len(), nil
-}
-
-func (s *Searcher) candidates(prepTrials int, seed uint64) (*core.Candidates, error) {
-	return s.candidatesProbe(prepTrials, seed, core.Anchor{}, nil)
-}
-
-func (s *Searcher) candidatesProbe(prepTrials int, seed uint64, anchor core.Anchor, probe *telemetry.Probe) (*core.Candidates, error) {
-	key := candKey{prepTrials: prepTrials, seed: seed, anchor: anchor}
-	s.mu.Lock()
-	e, ok := s.cands[key]
-	if ok {
-		s.mu.Unlock()
-		// Either a completed prep (ready already closed) or one in
-		// flight; wait rather than duplicating the work. The follower's
-		// probe records nothing for the preparing phase — the metrics
-		// reflect work done, not work awaited.
-		<-e.ready
-		return e.cands, e.err
-	}
-	e = &candEntry{ready: make(chan struct{})}
-	s.cands[key] = e
-	s.mu.Unlock()
-
-	// Prepare outside the lock: the phase is expensive and the slot
-	// already claims the key, so concurrent identical preps run once.
-	if anchor.Kind != 0 {
-		e.cands, e.err = core.PrepareAnchoredCandidates(s.g, anchor, prepTrials, seed, nil)
-	} else {
-		e.cands, e.err = core.PrepareCandidates(s.g, prepTrials, seed, core.OSOptions{Probe: probe})
-	}
-	if e.err != nil {
-		// A failed prep must not poison the key forever: evict the slot
-		// so a later call retries (waiters already joined still see the
-		// error of the flight they joined).
-		s.mu.Lock()
-		if s.cands[key] == e {
-			delete(s.cands, key)
-		}
-		s.mu.Unlock()
-	}
-	close(e.ready)
-	return e.cands, e.err
 }
