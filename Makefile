@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-compare microbench fuzz vet fmt experiments clean
+.PHONY: all build test test-race cover bench bench-compare microbench fuzz vet fmt loc experiments clean
 
 all: build test
 
@@ -56,6 +56,13 @@ vet:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go line counts, the net size ROADMAP.md tracks: the root
+# module (perfbench is its own module) and the perfbench harness.
+# Hidden directories (build caches) are skipped.
+loc:
+	@printf 'root module: '; find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+	@printf 'perfbench:   '; find perfbench -path 'perfbench/.*' -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Regenerate every paper table and figure (laptop-scaled defaults).
 experiments:

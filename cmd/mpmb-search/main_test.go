@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -203,14 +204,21 @@ func TestRunResumeErrors(t *testing.T) {
 
 // TestHelperSearchProcess is not a test: it is the subprocess body for the
 // signal tests, re-executed from the test binary with
-// MPMB_SEARCH_HELPER=1. It runs an effectively unbounded search so the
-// parent can interrupt it with a signal.
+// MPMB_SEARCH_HELPER=1. It runs the search flags given after "--", an
+// effectively unbounded search, so the parent can interrupt it with a
+// signal.
 func TestHelperSearchProcess(t *testing.T) {
 	if os.Getenv("MPMB_SEARCH_HELPER") != "1" {
 		t.Skip("helper process body")
 	}
-	args := os.Args[len(os.Args)-4:] // -graph <path> -checkpoint <path>
-	err := run(append(args, "-method", "os", "-trials", "1000000000", "-seed", "7"), os.Stdout)
+	args := os.Args
+	for i, a := range args {
+		if a == "--" {
+			args = args[i+1:]
+			break
+		}
+	}
+	err := run(args, os.Stdout)
 	if err != nil {
 		os.Exit(1)
 	}
@@ -236,15 +244,15 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// signalStopsSearch runs the helper process and delivers sig once the
-// search has started; the CLI must trap it, stop at a trial boundary, save
-// the checkpoint and exit 0 with partial results.
-func signalStopsSearch(t *testing.T, sig os.Signal) {
+// signalStopsSearch runs the helper process over the search flags and
+// delivers sig once the search has started; the CLI must trap it, stop at
+// a trial boundary, save the checkpoint and exit 0 with partial results.
+// It returns the checkpoint path.
+func signalStopsSearch(t *testing.T, sig os.Signal, path string, flags ...string) string {
 	t.Helper()
-	path := writeFigure1(t)
 	ckpt := filepath.Join(t.TempDir(), "sig.ckpt")
-	cmd := exec.Command(os.Args[0], "-test.run=TestHelperSearchProcess", "--",
-		"-graph", path, "-checkpoint", ckpt)
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=TestHelperSearchProcess", "--",
+		"-graph", path, "-checkpoint", ckpt}, flags...)...)
 	cmd.Env = append(os.Environ(), "MPMB_SEARCH_HELPER=1")
 	var outBuf syncBuffer
 	cmd.Stdout = &outBuf
@@ -279,10 +287,56 @@ func signalStopsSearch(t *testing.T, sig os.Signal) {
 	if _, err := mpmb.LoadCheckpoint(ckpt); err != nil {
 		t.Fatalf("checkpoint written on %v does not load: %v", sig, err)
 	}
+	return ckpt
 }
 
-func TestRunSIGTERMGraceful(t *testing.T) { signalStopsSearch(t, syscall.SIGTERM) }
-func TestRunSIGINTGraceful(t *testing.T)  { signalStopsSearch(t, os.Interrupt) }
+// unboundedOS is an OS search that runs until a signal stops it.
+var unboundedOS = []string{"-method", "os", "-trials", "1000000000", "-seed", "7"}
+
+func TestRunSIGTERMGraceful(t *testing.T) {
+	signalStopsSearch(t, syscall.SIGTERM, writeFigure1(t), unboundedOS...)
+}
+
+func TestRunSIGINTGraceful(t *testing.T) {
+	signalStopsSearch(t, os.Interrupt, writeFigure1(t), unboundedOS...)
+}
+
+// TestRunSIGTERMAnchoredRoundTrip: an anchored OLS search stopped by
+// SIGTERM saves a checkpoint that records its anchor. Resuming it under
+// the same flags is accepted and — cut again before its next trial —
+// saves the identical checkpoint; resuming it as a global or a
+// differently anchored search is refused.
+func TestRunSIGTERMAnchoredRoundTrip(t *testing.T) {
+	path := writeFigure1(t)
+	flags := []string{"-method", "ols", "-anchor-l", "0", "-prep", "100", "-trials", "1000000000", "-seed", "7"}
+	ckpt := signalStopsSearch(t, syscall.SIGTERM, path, flags...)
+	first, err := mpmb.LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Anchor.Kind == 0 || first.Anchor.U != 0 {
+		t.Fatalf("anchored checkpoint records anchor %v", first.Anchor)
+	}
+	again := filepath.Join(t.TempDir(), "again.ckpt")
+	var sb strings.Builder
+	resume := append([]string{"-graph", path, "-resume", ckpt, "-timeout", "1ns", "-checkpoint", again}, flags...)
+	if err := run(resume, &sb); err != nil {
+		t.Fatalf("resuming the anchored checkpoint: %v\n%s", err, sb.String())
+	}
+	second, err := mpmb.LoadCheckpoint(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("resumed-and-cut checkpoint differs:\nfirst  %+v\nsecond %+v", first, second)
+	}
+	for _, anchor := range [][]string{{"-anchor-l", "1"}, {"-anchor-l", "-1"}} {
+		other := append(append([]string{"-graph", path, "-resume", ckpt, "-timeout", "1ns"}, flags...), anchor...)
+		if err := run(other, &sb); err == nil || !strings.Contains(err.Error(), "anchor") {
+			t.Fatalf("resume with %v: err = %v, want an anchor mismatch", anchor, err)
+		}
+	}
+}
 
 // TestRunAdaptiveFlags drives the new adaptive flags end to end through
 // the CLI: -epsilon stops early and reports the achieved half-width,

@@ -366,7 +366,11 @@ func FuzzSearchOptions(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v: cut run: %v", opt, err)
 		}
-		if q := opt.Query; !part.Partial || part.Checkpoint == nil || q != nil && (q.anchored() || q.Community != nil) {
+		q := opt.Query
+		if part.Partial && part.Checkpoint == nil && q != nil && q.anchored() && opt.Method != MethodExact {
+			t.Fatalf("%+v: cut anchored run carries no checkpoint", opt)
+		}
+		if !part.Partial || part.Checkpoint == nil || q != nil && q.Community != nil {
 			return // nothing to resume, or a query that rejects Resume
 		}
 		resume := opt

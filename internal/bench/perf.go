@@ -316,8 +316,8 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AnchoredOS(g, a, core.OSOptions{
-					Trials: anchoredTrials, Seed: 42,
+				if _, err := core.OS(g, core.OSOptions{
+					Trials: anchoredTrials, Seed: 42, Anchor: a,
 				}); err != nil {
 					b.Fatal(err)
 				}

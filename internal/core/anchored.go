@@ -62,6 +62,14 @@ func (a Anchor) Validate(g *bigraph.Graph) error {
 	return nil
 }
 
+// check validates a run's anchor; the zero Anchor (a global run) passes.
+func (a Anchor) check(g *bigraph.Graph) error {
+	if a.Kind == 0 {
+		return nil
+	}
+	return a.Validate(g)
+}
+
 func (a Anchor) String() string {
 	switch a.Kind {
 	case AnchorLeft:
@@ -122,7 +130,7 @@ func (e *anchorPartner) bestWeight() float64 {
 	return math.Inf(-1)
 }
 
-// anchoredIndex runs anchor-restricted trials: instead of the global OS
+// anchoredIndex is the anchored trialKernel: instead of the global OS
 // edge scan it enumerates only the anchor's two-hop neighbourhood,
 // Bernoulli-sampling each touched edge lazily (at most once per trial,
 // through the same precomputed thresholds as the optimized estimator).
@@ -197,8 +205,9 @@ func (x *anchoredIndex) entry(p bigraph.VertexID) *anchorPartner {
 }
 
 // runTrialSeeded samples one world with the per-trial stream derived from
-// root and fills sMB with the anchored maximum butterfly set.
-func (x *anchoredIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxSet) {
+// root and fills sMB with the anchored maximum butterfly set. The
+// traversal has no ordered scan to report.
+func (x *anchoredIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxSet) (scanned int, fellBack bool) {
 	root.DeriveInto(id, &x.rng)
 	x.cur++
 	if x.cur == math.MaxInt32 {
@@ -208,7 +217,13 @@ func (x *anchoredIndex) runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfl
 		x.cur = 1
 	}
 	x.runTrial(sMB, x.present)
+	return 0, false
 }
+
+func (x *anchoredIndex) scanLen() int { return 0 }
+
+// release is a no-op: an anchored kernel is private to its run.
+func (x *anchoredIndex) release() {}
 
 // runTrial computes S_MB restricted to butterflies containing the anchor
 // under the given edge-presence oracle. present is consulted at most once
@@ -360,156 +375,6 @@ func (x *anchoredIndex) emit(sMB *butterfly.MaxSet, p, m1, m2 bigraph.VertexID, 
 		return
 	}
 	sMB.Add(butterfly.New(x.anchor.U, p, m1, m2), w)
-}
-
-// AnchoredOS runs anchor-restricted Ordering Sampling: opt.Trials worlds
-// are sampled lazily around the anchor and each world's maximum
-// anchor-containing butterfly set is credited, exactly like OS but with
-// S_MB restricted to butterflies through the anchor. An anchor with zero
-// butterfly support yields an empty Result. Resume, OnTrial and Executor
-// are not supported for anchored runs; Interrupt yields a partial Result
-// without a checkpoint.
-func AnchoredOS(g *bigraph.Graph, a Anchor, opt OSOptions) (*Result, error) {
-	if err := anchoredOSCheck(g, a, opt); err != nil {
-		return nil, err
-	}
-	x := newAnchoredIndex(g, a)
-	acc := newProbAccumulator()
-	root := randx.New(opt.Seed)
-	var sMB butterfly.MaxSet
-	for trial := 1; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			res := acc.resultNorm("os", opt.Trials, trial-1)
-			res.Partial = true
-			probeFinish(opt.Probe, res)
-			return res, nil
-		}
-		x.runTrialSeeded(root, uint64(trial), &sMB)
-		if !sMB.Empty() {
-			acc.addMaxSet(&sMB)
-		}
-	}
-	res := acc.result("os", opt.Trials)
-	probeFinish(opt.Probe, res)
-	return res, nil
-}
-
-// AnchoredOSParallel is AnchoredOS with trials spread over workers
-// goroutines (0 means GOMAXPROCS). Each worker derives the same per-trial
-// streams from the shared seed, so results are identical to AnchoredOS.
-func AnchoredOSParallel(g *bigraph.Graph, a Anchor, opt OSOptions, workers int) (*Result, error) {
-	if err := anchoredOSCheck(g, a, opt); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = parDefaultWorkers()
-	}
-	if workers == 1 || opt.Trials < 2*parChunkTrials {
-		return AnchoredOS(g, a, opt)
-	}
-	accs := make([]*probAccumulator, workers)
-	done, err := parLoop(0, opt.Trials, workers, opt.Interrupt, func(w int) func(lo, hi int) {
-		x := newAnchoredIndex(g, a)
-		root := randx.New(opt.Seed)
-		acc := newProbAccumulator()
-		accs[w] = acc
-		var sMB butterfly.MaxSet
-		return func(lo, hi int) {
-			for t := lo; t <= hi; t++ {
-				x.runTrialSeeded(root, uint64(t), &sMB)
-				if !sMB.Empty() {
-					acc.addMaxSet(&sMB)
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc := newProbAccumulator()
-	for _, a2 := range accs {
-		if a2 != nil {
-			acc.merge(a2)
-		}
-	}
-	var res *Result
-	if done < opt.Trials {
-		res = acc.resultNorm("os", opt.Trials, done)
-		res.Partial = true
-	} else {
-		res = acc.result("os", opt.Trials)
-	}
-	probeFinish(opt.Probe, res)
-	return res, nil
-}
-
-func anchoredOSCheck(g *bigraph.Graph, a Anchor, opt OSOptions) error {
-	if opt.Trials <= 0 {
-		return fmt.Errorf("core: anchored OS requires Trials > 0, got %d", opt.Trials)
-	}
-	if opt.Resume != nil {
-		return fmt.Errorf("core: anchored runs do not support Resume")
-	}
-	if opt.Executor != nil {
-		return fmt.Errorf("core: anchored runs do not support an explicit Executor")
-	}
-	if opt.OnTrial != nil {
-		return fmt.Errorf("core: anchored runs do not support OnTrial")
-	}
-	return a.Validate(g)
-}
-
-// PrepareAnchoredCandidates runs nPrep anchored trials and unions each
-// trial's anchored S_MB into a candidate set, the anchor-restricted
-// analogue of PrepareCandidates. Interrupt stops early: the returned set
-// reports the completed prefix in PrepDone (no checkpoint).
-func PrepareAnchoredCandidates(g *bigraph.Graph, a Anchor, nPrep int, seed uint64, interrupt func() bool) (*Candidates, error) {
-	if nPrep <= 0 {
-		return nil, fmt.Errorf("core: anchored preparing phase requires PrepTrials > 0, got %d", nPrep)
-	}
-	if err := a.Validate(g); err != nil {
-		return nil, err
-	}
-	x := newAnchoredIndex(g, a)
-	root := randx.New(seed)
-	hits := make(map[butterfly.Butterfly]int)
-	var sMB butterfly.MaxSet
-	done := 0
-	for trial := 1; trial <= nPrep; trial++ {
-		if interrupt != nil && interrupt() {
-			break
-		}
-		x.runTrialSeeded(root, uint64(trial), &sMB)
-		for _, b := range sMB.Set {
-			hits[b]++
-		}
-		done = trial
-	}
-	c, err := NewCandidates(g, hits)
-	if err != nil {
-		return nil, err
-	}
-	c.PrepDone = done
-	return c, nil
-}
-
-// AnchoredOLS runs Ordering-Listing Sampling restricted to the anchor:
-// the preparing phase unions anchored maximum sets into C_MB, then the
-// unchanged shared-trial estimator (or Karp-Luby when opt.UseKarpLuby)
-// prices exactly those candidates. workers 0 means a sequential sampling
-// phase. Resume and Executor are not supported for anchored runs;
-// Interrupt during preparation returns a partial Result with no
-// estimates, during sampling a partial Result over the completed prefix
-// (in both cases without a checkpoint).
-func AnchoredOLS(g *bigraph.Graph, a Anchor, opt OLSOptions, workers int) (*Result, error) {
-	if opt.Executor != nil {
-		return nil, fmt.Errorf("core: anchored runs do not support an explicit Executor")
-	}
-	cands, part, err := PrepareOLS(g, a, opt)
-	if cands == nil {
-		return part, err
-	}
-	return olsSampling(cands, opt, workers, nil)
 }
 
 // ExactAnchored enumerates every possible world (so the graph must have

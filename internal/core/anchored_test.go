@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -115,7 +117,7 @@ func TestAnchoredOSMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := AnchoredOS(g, a, OSOptions{Trials: trials, Seed: uint64(1000*gi + ai)})
+			res, err := OS(g, OSOptions{Trials: trials, Seed: uint64(1000*gi + ai), Anchor: a})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,27 +148,28 @@ func checkAgainstExact(t *testing.T, res, exact *Result, eps float64) {
 	}
 }
 
-// TestAnchoredOSParallelMatchesSequential: the parallel runner derives
-// the same per-trial streams, so estimates must be identical.
+// TestAnchoredOSParallelMatchesSequential: the parallel runner and an
+// explicit in-process executor derive the same per-trial streams, so
+// estimates must be identical.
 func TestAnchoredOSParallelMatchesSequential(t *testing.T) {
 	g := figure1Graph()
 	for _, a := range allAnchors(g) {
-		opt := OSOptions{Trials: 500, Seed: 9}
-		seq, err := AnchoredOS(g, a, opt)
+		opt := OSOptions{Trials: 500, Seed: 9, Anchor: a}
+		seq, err := OS(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := AnchoredOSParallel(g, a, opt, 4)
+		par, err := OSParallel(g, opt, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq.Estimates) != len(par.Estimates) {
-			t.Fatalf("anchor %v: %d vs %d estimates", a, len(seq.Estimates), len(par.Estimates))
+		opt.Executor = &LocalExecutor{Workers: 3}
+		exe, err := OSParallel(g, opt, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range seq.Estimates {
-			if seq.Estimates[i] != par.Estimates[i] {
-				t.Fatalf("anchor %v estimate %d: %+v vs %+v", a, i, seq.Estimates[i], par.Estimates[i])
-			}
+		if !reflect.DeepEqual(seq, par) || !reflect.DeepEqual(seq, exe) {
+			t.Fatalf("anchor %v: sequential, parallel and executor Results differ\nseq %+v\npar %+v\nexe %+v", a, seq, par, exe)
 		}
 	}
 }
@@ -181,7 +184,7 @@ func TestAnchoredOLSMatchesCandidateOracle(t *testing.T) {
 	for ai, a := range allAnchors(g) {
 		for _, kl := range []bool{false, true} {
 			seed := uint64(100 + ai)
-			cands, err := PrepareAnchoredCandidates(g, a, prep, seed, nil)
+			cands, err := PrepareCandidates(g, prep, seed, OSOptions{Anchor: a})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,11 +192,11 @@ func TestAnchoredOLSMatchesCandidateOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := OLSOptions{Trials: trials, PrepTrials: prep, Seed: seed, UseKarpLuby: kl}
+			opt := OLSOptions{Trials: trials, PrepTrials: prep, Seed: seed, UseKarpLuby: kl, OS: OSOptions{Anchor: a}}
 			if kl {
 				opt.KL.Mu = 0.05
 			}
-			res, err := AnchoredOLS(g, a, opt, 2)
+			res, err := OLSParallel(g, opt, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,14 +257,14 @@ func TestAnchoredZeroSupport(t *testing.T) {
 		if len(exact.Estimates) != 0 {
 			t.Fatalf("anchor %v: exact oracle found %d butterflies", a, len(exact.Estimates))
 		}
-		res, err := AnchoredOS(g, a, OSOptions{Trials: 200, Seed: 3})
+		res, err := OS(g, OSOptions{Trials: 200, Seed: 3, Anchor: a})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Estimates) != 0 {
 			t.Fatalf("anchor %v: anchored OS returned %d estimates, want 0", a, len(res.Estimates))
 		}
-		ols, err := AnchoredOLS(g, a, OLSOptions{Trials: 200, PrepTrials: 50, Seed: 3}, 0)
+		ols, err := OLS(g, OLSOptions{Trials: 200, PrepTrials: 50, Seed: 3, OS: OSOptions{Anchor: a}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,39 +298,105 @@ func TestAnchorValidate(t *testing.T) {
 	}
 }
 
-// TestAnchoredInterrupt: cancellation yields a partial Result without a
-// checkpoint, and anchored runs reject the unsupported resume/executor
-// options outright.
-func TestAnchoredInterrupt(t *testing.T) {
+// TestAnchoredCutResumes: an anchored run cut at any trial — OS, or
+// either OLS phase, sequential or parallel — returns a checkpoint that
+// records the anchor and resumes, on either runner, to the uncut Result.
+func TestAnchoredCutResumes(t *testing.T) {
 	g := figure1Graph()
 	a := Anchor{Kind: AnchorLeft, U: 0}
-	calls := 0
-	stopAfter := func(n int) func() bool {
-		return func() bool { calls++; return calls > n }
-	}
-	calls = 0
-	res, err := AnchoredOS(g, a, OSOptions{Trials: 1000, Seed: 1, Interrupt: stopAfter(10)})
+	osOpt := OSOptions{Trials: 120, Seed: 1, Anchor: a}
+	wantOS, err := OS(g, osOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Partial || res.Checkpoint != nil {
-		t.Fatalf("interrupted anchored OS: partial=%v checkpoint=%v", res.Partial, res.Checkpoint)
+	olsOpt := func(kl bool) OLSOptions {
+		return OLSOptions{Trials: 120, PrepTrials: 40, Seed: 1, UseKarpLuby: kl, KL: KLOptions{Mu: 0.05}, OS: OSOptions{Anchor: a}}
 	}
-	if res.TrialsDone >= 1000 || res.TrialsDone != 10 {
-		t.Fatalf("interrupted anchored OS: TrialsDone=%d", res.TrialsDone)
+	for _, workers := range []int{0, 3} {
+		for cut := 0; cut <= 130; cut += 13 {
+			opt := osOpt
+			opt.Interrupt = pollBudget(cut)
+			part, err := OSParallel(g, opt, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part.Partial {
+				if part.Checkpoint == nil || part.Checkpoint.Anchor != a {
+					t.Fatalf("os w%d cut %d: checkpoint %+v does not record anchor %v", workers, cut, part.Checkpoint, a)
+				}
+				opt.Interrupt, opt.Resume = nil, part.Checkpoint
+				if part, err = OSParallel(g, opt, 3-workers); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(part, wantOS) {
+				t.Fatalf("os w%d cut %d: resumed Result differs from the uncut run", workers, cut)
+			}
+			for _, kl := range []bool{false, true} {
+				want, err := OLS(g, olsOpt(kl))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := olsOpt(kl)
+				opt.Interrupt = pollBudget(cut)
+				got, err := olsRun(g, opt, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Partial {
+					if got.Checkpoint.Anchor != a {
+						t.Fatalf("ols kl=%v w%d cut %d: checkpoint does not record the anchor", kl, workers, cut)
+					}
+					opt.Interrupt, opt.Resume = nil, got.Checkpoint
+					if got, err = olsRun(g, opt, 3-workers); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("ols kl=%v w%d cut %d: resumed Result differs from the uncut run", kl, workers, cut)
+				}
+			}
+		}
 	}
-	calls = 0
-	ols, err := AnchoredOLS(g, a, OLSOptions{Trials: 1000, PrepTrials: 100, Seed: 1, Interrupt: stopAfter(5)}, 0)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// pollBudget is an interrupt hook that fires from its (n+1)-th poll on,
+// safe for the parallel runners' concurrent polls.
+func pollBudget(n int) func() bool {
+	var polls atomic.Int64
+	return func() bool { return polls.Add(1) > int64(n) }
+}
+
+// TestAnchoredRunsBuildNoGlobalSnapshot: the anchored kernel reads the
+// graph directly, so no anchored entry point — sequential, parallel,
+// candidate preparation or either OLS estimator — builds the global
+// weight-ordered snapshot, the dominant cold-start cost.
+func TestAnchoredRunsBuildNoGlobalSnapshot(t *testing.T) {
+	b := bigraph.NewBuilder(4, 4)
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 4; v++ {
+			b.MustAddEdge(bigraph.VertexID(u), bigraph.VertexID(v), float64(1+(u*v)%3), 0.6)
+		}
 	}
-	if !ols.Partial || ols.Checkpoint != nil {
-		t.Fatalf("interrupted anchored OLS: partial=%v checkpoint=%v", ols.Partial, ols.Checkpoint)
+	g := b.Build()
+	a := Anchor{Kind: AnchorRight, V: 1}
+	for _, workers := range []int{0, 3} {
+		if _, err := OSParallel(g, OSOptions{Trials: 200, Seed: 2, Anchor: a}, workers); err != nil {
+			t.Fatal(err)
+		}
+		for _, kl := range []bool{false, true} {
+			opt := OLSOptions{Trials: 200, PrepTrials: 30, Seed: 2, UseKarpLuby: kl, KL: KLOptions{Mu: 0.05}, OS: OSOptions{Anchor: a}}
+			if _, err := olsRun(g, opt, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := AnchoredOS(g, a, OSOptions{Trials: 10, Resume: &Checkpoint{}}); err == nil {
-		t.Fatal("anchored OS with Resume: expected error")
-	}
-	if _, err := AnchoredOLS(g, a, OLSOptions{Trials: 10, PrepTrials: 5, Resume: &Checkpoint{}}, 0); err == nil {
-		t.Fatal("anchored OLS with Resume: expected error")
+	SizePrep(g, &a, 2)
+	snapCache.Lock()
+	defer snapCache.Unlock()
+	for _, e := range snapCache.entries {
+		if e.g == g {
+			t.Fatal("an anchored run built the global edge snapshot")
+		}
 	}
 }

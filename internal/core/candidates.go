@@ -32,6 +32,11 @@ type Candidates struct {
 	// through the OSOptions Interrupt hook, in which case List reflects
 	// only the completed prefix of trials.
 	PrepDone int
+	// Anchor is the anchor the preparing phase was restricted to (zero
+	// for a global run). The sampling phase stamps it on its checkpoints
+	// and hands it to executors, so a resume or a remote re-preparation
+	// is checked against the same query.
+	Anchor Anchor
 }
 
 // PrepareCandidates runs the OLS preparing phase (lines 2–4 of Algorithm
@@ -55,8 +60,11 @@ func prepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions
 	if nPrep <= 0 {
 		return nil, false, fmt.Errorf("core: preparing phase requires nPrep > 0, got %d", nPrep)
 	}
+	if err := osOpt.Anchor.check(g); err != nil {
+		return nil, false, err
+	}
 	idx := acquireKernel(g, osOpt)
-	defer releaseKernel(idx)
+	defer idx.release()
 	root := randx.New(seed)
 	hits := make(map[butterfly.Butterfly]int)
 	for _, e := range resume {
@@ -66,7 +74,7 @@ func prepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions
 	interrupted := false
 	var sMB butterfly.MaxSet
 	probe := osOpt.Probe.WithPhase(telemetry.PhasePrep)
-	meter := newTrialMeter(probe, 0, idx.snap.numEdges(), false)
+	meter := newTrialMeter(probe, 0, idx.scanLen(), false)
 	for trial := start + 1; trial <= nPrep; trial++ {
 		if osOpt.Interrupt != nil && osOpt.Interrupt() {
 			interrupted = true
@@ -94,6 +102,7 @@ func prepareCandidates(g *bigraph.Graph, nPrep int, seed uint64, osOpt OSOptions
 		return nil, false, err
 	}
 	c.PrepDone = done
+	c.Anchor = osOpt.Anchor
 	return c, interrupted, nil
 }
 

@@ -42,6 +42,10 @@ type Checkpoint struct {
 	// GraphCRC fingerprints the graph the run was computed on (see
 	// bigraph.Graph.Checksum). Resume refuses a different graph.
 	GraphCRC uint32
+	// Anchor is the anchor of an anchored run (zero for a global run).
+	// Resume refuses a checkpoint whose anchor differs from the run's:
+	// anchored and global tallies count different maximum sets.
+	Anchor Anchor
 	// Prepare marks a checkpoint cut during the OLS preparing phase; Done
 	// then counts preparing trials and Counts holds the interim candidate
 	// hit tallies.
@@ -76,7 +80,7 @@ type ButterflyCount struct {
 // Checkpoint serialization:
 //
 //	magic   [8]byte  "MPMBCKP1"
-//	version uint32   little endian (currently 1)
+//	version uint32   little endian (currently 2)
 //	method  uint16 length + bytes
 //	seed    uint64
 //	trials  uint64
@@ -84,12 +88,15 @@ type ButterflyCount struct {
 //	mu      float64
 //	crcG    uint32   graph fingerprint
 //	flags   uint8    bit 0: prepare phase
+//	anchor  uint8 kind + uint32 U + uint32 V   (version 2 only)
 //	done    uint64
 //	kind    uint8    1 = Counts, 2 = CandCounts, 3 = CandProbs/CandTrials
 //	n       uint64   entry count, then n records (layout per kind)
 //	crc     uint32   IEEE CRC-32 over everything above
+//
+// Version 1 files lack the anchor and decode as unanchored.
 const (
-	ckptVersion = 1
+	ckptVersion = 2
 
 	ckptKindCounts     = 1
 	ckptKindCandCounts = 2
@@ -156,6 +163,15 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		flags |= 1
 	}
 	if err := writeU(flags, 1); err != nil {
+		return err
+	}
+	if err := writeU(uint64(c.Anchor.Kind), 1); err != nil {
+		return err
+	}
+	if err := writeU(uint64(c.Anchor.U), 4); err != nil {
+		return err
+	}
+	if err := writeU(uint64(c.Anchor.V), 4); err != nil {
 		return err
 	}
 	if err := writeU(uint64(c.Done), 8); err != nil {
@@ -246,8 +262,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != ckptVersion {
-		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads %d)", version, ckptVersion)
+	if version != 1 && version != ckptVersion {
+		return nil, fmt.Errorf("core: unsupported checkpoint version %d (this build reads 1 and %d)", version, ckptVersion)
 	}
 	mlen, err := readU(2)
 	if err != nil {
@@ -284,6 +300,15 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	if version >= 2 {
+		var av [3]uint64
+		for i, n := range []int{1, 4, 4} {
+			if av[i], err = readU(n); err != nil {
+				return nil, err
+			}
+		}
+		c.Anchor = Anchor{Kind: AnchorKind(av[0]), U: bigraph.VertexID(av[1]), V: bigraph.VertexID(av[2])}
+	}
 	done, err := readU(8)
 	if err != nil {
 		return nil, err
@@ -314,9 +339,13 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if n > maxCheckpointEntries {
 		return nil, fmt.Errorf("core: checkpoint declares %d entries (limit %d)", n, maxCheckpointEntries)
 	}
+	// Preallocate only what a short file can back: a header declaring
+	// millions of entries over a truncated body must fail fast, not
+	// allocate gigabytes first.
+	prealloc := min(n, 1<<12)
 	switch byte(kind) {
 	case ckptKindCounts:
-		c.Counts = make([]ButterflyCount, 0, n)
+		c.Counts = make([]ButterflyCount, 0, prealloc)
 		for i := uint64(0); i < n; i++ {
 			var vs [4]uint64
 			for k := range vs {
@@ -342,7 +371,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			})
 		}
 	case ckptKindCandCounts:
-		c.CandCounts = make([]int64, 0, n)
+		c.CandCounts = make([]int64, 0, prealloc)
 		for i := uint64(0); i < n; i++ {
 			v, err := readU(8)
 			if err != nil {
@@ -351,8 +380,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			c.CandCounts = append(c.CandCounts, int64(v))
 		}
 	case ckptKindKL:
-		c.CandProbs = make([]float64, 0, n)
-		c.CandTrials = make([]int64, 0, n)
+		c.CandProbs = make([]float64, 0, prealloc)
+		c.CandTrials = make([]int64, 0, prealloc)
 		for i := uint64(0); i < n; i++ {
 			pBits, err := readU(8)
 			if err != nil {
@@ -396,6 +425,15 @@ func (c *Checkpoint) validate() error {
 	}
 	if c.Mu < 0 || c.Mu > 1 || math.IsNaN(c.Mu) {
 		return fmt.Errorf("Mu=%v outside [0,1]", c.Mu)
+	}
+	switch a := c.Anchor; {
+	case a.Kind > AnchorEdge:
+		return fmt.Errorf("unknown anchor kind %d", a.Kind)
+	case a.Kind != 0 && c.Method == "mc-vp":
+		return fmt.Errorf("anchored checkpoint for method %q", c.Method)
+	case a.Kind != AnchorLeft && a.Kind != AnchorEdge && a.U != 0,
+		a.Kind != AnchorRight && a.Kind != AnchorEdge && a.V != 0:
+		return fmt.Errorf("anchor kind %d carries a vertex it does not pin (U=%d, V=%d)", a.Kind, a.U, a.V)
 	}
 	limit := c.Trials
 	if c.Prepare {
@@ -460,8 +498,8 @@ func (c *Checkpoint) validate() error {
 }
 
 // resumeCheck verifies the checkpoint belongs to the run being resumed:
-// same method, seed, targets, Karp-Luby sizing, and graph.
-func (c *Checkpoint) resumeCheck(method string, seed uint64, trials, prepTrials int, mu float64, g *bigraph.Graph) error {
+// same method, seed, targets, Karp-Luby sizing, anchor and graph.
+func (c *Checkpoint) resumeCheck(method string, seed uint64, trials, prepTrials int, mu float64, anchor Anchor, g *bigraph.Graph) error {
 	if err := c.validate(); err != nil {
 		return fmt.Errorf("core: invalid resume checkpoint: %w", err)
 	}
@@ -479,6 +517,9 @@ func (c *Checkpoint) resumeCheck(method string, seed uint64, trials, prepTrials 
 	}
 	if method == "ols-kl" && c.Mu != mu {
 		return fmt.Errorf("core: checkpoint Mu=%v does not match run Mu=%v", c.Mu, mu)
+	}
+	if c.Anchor != anchor {
+		return fmt.Errorf("core: checkpoint is for anchor %v, resuming %v", c.Anchor, anchor)
 	}
 	if got := g.Checksum(); c.GraphCRC != got {
 		return fmt.Errorf("core: checkpoint graph fingerprint %08x does not match graph %08x", c.GraphCRC, got)

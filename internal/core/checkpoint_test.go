@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +43,15 @@ func sampleCheckpoints() map[string]*Checkpoint {
 			Done: 2, GraphCRC: 3,
 			CandProbs:  []float64{0.25, 0.125, 0},
 			CandTrials: []int64{200, 400, 0},
+		},
+		"os-anchored": {
+			Method: "os", Seed: 7, Trials: 5000, Done: 12, GraphCRC: 1,
+			Anchor: Anchor{Kind: AnchorRight, V: 3}, Counts: counts[:2],
+		},
+		"ols-anchored-edge": {
+			Method: "ols", Seed: 9, Trials: 200, PrepTrials: 100,
+			Done: 150, GraphCRC: 3, Anchor: Anchor{Kind: AnchorEdge, U: 1, V: 2},
+			CandCounts: []int64{150, 0, 75},
 		},
 	}
 }
@@ -126,7 +136,7 @@ func TestCheckpointDecodeRejectsVersionSkew(t *testing.T) {
 	raw := buf.Bytes()
 	// Bump the version field (bytes 8..11) and re-stamp the trailing CRC so
 	// only the version mismatch can be the reason for rejection.
-	raw[8] = 2
+	raw[8] = ckptVersion + 1
 	restampCRC(raw)
 	_, err := DecodeCheckpoint(bytes.NewReader(raw))
 	if err == nil || !strings.Contains(err.Error(), "version") {
@@ -152,6 +162,10 @@ func TestCheckpointEncodeRejectsInvalid(t *testing.T) {
 		{Method: "ols", Trials: 10, PrepTrials: 5, Done: 2, CandCounts: []int64{-1}},                            // negative count
 		{Method: "ols-kl", Trials: 10, PrepTrials: 5, Done: 1, CandProbs: []float64{2}, CandTrials: []int64{1}}, // prob > 1
 		{Method: "os", Trials: 10, Done: 2, CandCounts: []int64{1}},                                             // wrong payload for method
+		{Method: "os", Trials: 10, Done: 2, Anchor: Anchor{Kind: 9}},                                            // unknown anchor kind
+		{Method: "os", Trials: 10, Done: 2, Anchor: Anchor{U: 3}},                                               // unanchored with a vertex
+		{Method: "os", Trials: 10, Done: 2, Anchor: Anchor{Kind: AnchorLeft, V: 1}},                             // left anchor with a right vertex
+		{Method: "mc-vp", Trials: 10, Done: 2, Anchor: Anchor{Kind: AnchorLeft}},                                // mc-vp cannot be anchored
 	}
 	for i, ck := range bad {
 		var buf bytes.Buffer
@@ -179,6 +193,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		f.Add(mut)
 	}
+	if v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_os.ckpt")); err == nil {
+		f.Add(v1)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("MPMBCKP1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -198,4 +215,58 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("re-encode changed the checkpoint:\nfirst  %+v\nsecond %+v", ck, back)
 		}
 	})
+}
+
+// TestCheckpointV1DecodesUnanchored: a version-1 file (written before
+// checkpoints recorded an anchor) still decodes, as an unanchored
+// checkpoint, and resumes its global run to the uncut Result. The file
+// is an OS run on the Figure 1 graph (Trials 100, Seed 4) cut after 30
+// trials.
+func TestCheckpointV1DecodesUnanchored(t *testing.T) {
+	ck, err := LoadCheckpoint(filepath.Join("testdata", "checkpoint_v1_os.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Anchor != (Anchor{}) || ck.Method != "os" || ck.Done != 30 {
+		t.Fatalf("v1 checkpoint decoded as %+v", ck)
+	}
+	g := figure1Graph()
+	want, err := OS(g, OSOptions{Trials: 100, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := OS(g, OSOptions{Trials: 100, Seed: 4, Resume: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("resumed v1 checkpoint differs from the uncut run")
+	}
+	if _, err := OS(g, OSOptions{Trials: 100, Seed: 4, Resume: ck, Anchor: Anchor{Kind: AnchorLeft}}); err == nil {
+		t.Fatal("v1 (unanchored) checkpoint resumed an anchored run")
+	}
+}
+
+// TestCheckpointDecodeHugeCountFailsCheap: a header declaring the
+// maximum entry count over a truncated body must fail without first
+// allocating room for every declared entry (gigabytes at the limit).
+func TestCheckpointDecodeHugeCountFailsCheap(t *testing.T) {
+	ck := sampleCheckpoints()["os"]
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The entry count follows the fixed header and the 1-byte kind.
+	off := 8 + 4 + 2 + len(ck.Method) + 4*8 + 4 + 1 + 9 + 8 + 1
+	raw := buf.Bytes()[:off+8]
+	binary.LittleEndian.PutUint64(raw[off:], maxCheckpointEntries)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeCheckpoint(bytes.NewReader(raw)); err == nil {
+		t.Fatal("truncated checkpoint decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("decoding a truncated header allocated %d bytes", grew)
+	}
 }

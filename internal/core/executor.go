@@ -108,8 +108,9 @@ type ExecJob struct {
 	Start int
 	// OS carries the Ordering Sampling kernel knobs for ExecOS (and the
 	// preparing-phase knobs a remote worker must rebuild candidates
-	// with). Only the pruning/ablation flags are meaningful here —
-	// trial counts, seeds and hooks travel in the fields above.
+	// with). Only the pruning/ablation flags and the Anchor are
+	// meaningful here — trial counts, seeds and hooks travel in the
+	// fields above.
 	OS OSOptions
 	// KL carries the Karp-Luby sizing knobs for ExecKarpLuby
 	// (BaseTrials, Mu, MaxTrials). Hook fields must be nil.
@@ -229,15 +230,19 @@ func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 // runOS executes Ordering Sampling world trials. Worker-local
 // accumulators and kernels, merged at the end; no shared mutable state
 // during the run (DeriveInto only reads the root stream). Each worker
-// builds one flat kernel and reuses it for every trial of every chunk it
-// claims, so the steady-state per-trial cost is the kernel scan alone —
-// no per-trial closures, derives, or allocations.
+// acquires one trial kernel (job.OS.Anchor picks which) and reuses it
+// for every trial of every chunk it claims, so the steady-state
+// per-trial cost is the kernel scan alone — no per-trial closures or
+// derives.
 func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
+	if err := job.OS.Anchor.check(job.Graph); err != nil {
+		return nil, err
+	}
 	workers := e.workerCount(job)
 	job.Probe.EnsureWorkers(workers)
 	root := randx.New(job.Seed)
 	accs := make([]*probAccumulator, workers)
-	idxs := make([]*osIndex, workers)
+	idxs := make([]trialKernel, workers)
 	done, err := parLoop(job.Start, job.Units, workers, job.Interrupt, func(w int) func(int, int) {
 		acc := newProbAccumulator()
 		accs[w] = acc
@@ -249,7 +254,7 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 		idxs[w] = idx
 		var sMB butterfly.MaxSet
 		job.Probe.LabelWorker(w)
-		meter := newTrialMeter(job.Probe, w, idx.snap.numEdges(), false)
+		meter := newTrialMeter(job.Probe, w, idx.scanLen(), false)
 		return func(lo, hi int) {
 			for trial := lo; trial <= hi; trial++ {
 				scanned, fellBack := idx.runTrialSeeded(root, uint64(trial), &sMB)
@@ -269,7 +274,7 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 	// and can rejoin the snapshot's pool (even on a worker panic).
 	for _, idx := range idxs {
 		if idx != nil {
-			releaseKernel(idx)
+			idx.release()
 		}
 	}
 	if err != nil {

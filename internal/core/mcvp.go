@@ -59,7 +59,7 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 	acc := newProbAccumulator()
 	start := 1
 	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck("mc-vp", opt.Seed, opt.Trials, 0, 0, g); err != nil {
+		if err := opt.Resume.resumeCheck("mc-vp", opt.Seed, opt.Trials, 0, 0, Anchor{}, g); err != nil {
 			return nil, err
 		}
 		acc = accumulatorFromCounts(opt.Resume.Counts)
@@ -78,7 +78,7 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 	for trial := start; trial <= opt.Trials; trial++ {
 		if opt.Interrupt != nil && opt.Interrupt() {
 			meter.flush(trial - 1)
-			res := acc.partialResult("mc-vp", g, opt.Seed, opt.Trials, trial-1)
+			res := acc.partialResult("mc-vp", g, opt.Seed, opt.Trials, trial-1, Anchor{})
 			probeFinish(opt.Probe, res)
 			return res, nil
 		}
@@ -100,7 +100,7 @@ func MCVP(g *bigraph.Graph, opt MCVPOptions) (*Result, error) {
 			// The half-enumerated trial is discarded; the accumulator only
 			// holds fully completed trials, so the prefix stays exact.
 			meter.flush(trial - 1)
-			res := acc.partialResult("mc-vp", g, opt.Seed, opt.Trials, trial-1)
+			res := acc.partialResult("mc-vp", g, opt.Seed, opt.Trials, trial-1, Anchor{})
 			probeFinish(opt.Probe, res)
 			return res, nil
 		}

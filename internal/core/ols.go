@@ -27,8 +27,9 @@ type OLSOptions struct {
 	// and the resume/state plumbing are overwritten likewise.
 	Optimized OptimizedOptions
 	// OS configures the preparing phase's Ordering Sampling pruning
-	// behaviour (its Trials, Seed, OnTrial and Interrupt fields are
-	// ignored; cancellation uses the top-level Interrupt).
+	// behaviour and, through OS.Anchor, restricts the run to an anchor
+	// (its Trials, Seed, OnTrial and Interrupt fields are ignored;
+	// cancellation uses the top-level Interrupt).
 	OS OSOptions
 	// Interrupt, if non-nil, is polled between preparing trials and inside
 	// the sampling phase; when it returns true the run stops and returns a
@@ -104,7 +105,7 @@ func OLSParallel(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error)
 // olsRun executes both OLS phases; workers 0 means a fully sequential
 // sampling phase.
 func olsRun(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
-	cands, part, err := PrepareOLS(g, Anchor{}, opt)
+	cands, part, err := PrepareOLS(g, opt)
 	if cands == nil {
 		return part, err
 	}
@@ -119,29 +120,14 @@ func olsRun(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
 // keep the candidate set between runs: it validates opt.Resume against
 // the run and continues a prepare-phase checkpoint. It returns the
 // candidates of a completed phase, or, when opt.Interrupt cuts the phase
-// short, no candidates and the partial Result OLS would return. A
-// non-zero anchor runs the anchored preparing phase of AnchoredOLS
-// instead; anchored runs cannot resume, so that partial carries no
-// checkpoint.
-func PrepareOLS(g *bigraph.Graph, a Anchor, opt OLSOptions) (*Candidates, *Result, error) {
+// short, no candidates and the partial Result OLS would return. An
+// anchored run (opt.OS.Anchor) prepares anchored candidates.
+func PrepareOLS(g *bigraph.Graph, opt OLSOptions) (*Candidates, *Result, error) {
 	method := opt.method()
-	if a.Kind != 0 {
-		if opt.Resume != nil {
-			return nil, nil, fmt.Errorf("core: anchored runs do not support Resume")
-		}
-		cands, err := PrepareAnchoredCandidates(g, a, opt.PrepTrials, opt.Seed, opt.Interrupt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cands.PrepDone < opt.PrepTrials {
-			return nil, &Result{Method: method, Trials: opt.Trials, PrepTrials: opt.PrepTrials, Partial: true}, nil
-		}
-		return cands, nil, nil
-	}
 	var resumeCounts []ButterflyCount
 	start := 0
 	if ck := opt.Resume; ck != nil {
-		if err := ck.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), g); err != nil {
+		if err := ck.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), opt.OS.Anchor, g); err != nil {
 			return nil, nil, err
 		}
 		if ck.Prepare {
@@ -177,6 +163,7 @@ func prepPartialResult(method string, g *bigraph.Graph, opt OLSOptions, cands *C
 			PrepTrials: opt.PrepTrials,
 			Mu:         opt.mu(),
 			GraphCRC:   g.Checksum(),
+			Anchor:     cands.Anchor,
 			Prepare:    true,
 			Done:       cands.PrepDone,
 			Counts:     cands.prepSnapshot(),
@@ -201,7 +188,7 @@ func OLSSamplingPhase(cands *Candidates, opt OLSOptions) (*Result, error) {
 func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*Result, error) {
 	resume := opt.Resume
 	if resume != nil {
-		if err := resume.resumeCheck(opt.method(), opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), cands.G); err != nil {
+		if err := resume.resumeCheck(opt.method(), opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), cands.Anchor, cands.G); err != nil {
 			return nil, err
 		}
 		if resume.Prepare {
@@ -289,6 +276,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 			PrepTrials: opt.PrepTrials,
 			Mu:         opt.mu(),
 			GraphCRC:   g.Checksum(),
+			Anchor:     cands.Anchor,
 			Done:       st.Done,
 		}
 		if opt.UseKarpLuby {

@@ -61,6 +61,20 @@ type OSOptions struct {
 	// conforming executor returns bit-identical results. Ignored by the
 	// sequential OS.
 	Executor TrialExecutor
+	// Anchor, when set, restricts every trial's S_MB to the butterflies
+	// containing it (an anchored query): the trials run on the anchored
+	// kernel instead of the global weight-ordered scan, with the same
+	// trial streams, accumulation, checkpoints and executors. The
+	// pruning and ablation knobs above do not apply to it.
+	Anchor Anchor
+}
+
+// check validates the run-level options shared by OS and OSParallel.
+func (o OSOptions) check(g *bigraph.Graph, runner string) error {
+	if o.Trials <= 0 {
+		return fmt.Errorf("core: %s requires Trials > 0, got %d", runner, o.Trials)
+	}
+	return o.Anchor.check(g)
 }
 
 // OS is Ordering Sampling (Section V, Algorithm 2). Like MC-VP it samples
@@ -88,27 +102,27 @@ type OSOptions struct {
 // draw-for-draw identical to the frozen seed implementation in osref.go,
 // which the equivalence tests compare against bit for bit.
 func OS(g *bigraph.Graph, opt OSOptions) (*Result, error) {
-	if opt.Trials <= 0 {
-		return nil, fmt.Errorf("core: OS requires Trials > 0, got %d", opt.Trials)
+	if err := opt.check(g, "OS"); err != nil {
+		return nil, err
 	}
-	idx := acquireKernel(g, opt)
-	defer releaseKernel(idx)
 	acc := newProbAccumulator()
 	start := 1
 	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, g); err != nil {
+		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, opt.Anchor, g); err != nil {
 			return nil, err
 		}
 		acc = accumulatorFromCounts(opt.Resume.Counts)
 		start = opt.Resume.Done + 1
 	}
+	idx := acquireKernel(g, opt)
+	defer idx.release()
 	root := randx.New(opt.Seed)
 	var sMB butterfly.MaxSet
-	meter := newTrialMeter(opt.Probe, 0, idx.snap.numEdges(), false)
+	meter := newTrialMeter(opt.Probe, 0, idx.scanLen(), false)
 	for trial := start; trial <= opt.Trials; trial++ {
 		if opt.Interrupt != nil && opt.Interrupt() {
 			meter.flush(trial - 1)
-			res := acc.partialResult("os", g, opt.Seed, opt.Trials, trial-1)
+			res := acc.partialResult("os", g, opt.Seed, opt.Trials, trial-1, opt.Anchor)
 			probeFinish(opt.Probe, res)
 			return res, nil
 		}
@@ -136,8 +150,8 @@ func OS(g *bigraph.Graph, opt OSOptions) (*Result, error) {
 // brute-force enumeration on the same world, which makes the OS pruning
 // logic checkable without any statistics.
 func OSOnWorld(g *bigraph.Graph, w *possible.World, opt OSOptions) butterfly.MaxSet {
-	idx := acquireKernel(g, opt)
-	defer releaseKernel(idx)
+	idx := acquireOSIndex(g, opt)
+	defer idx.release()
 	var sMB butterfly.MaxSet
 	idx.runTrial(&sMB, w.Has)
 	return sMB
@@ -252,14 +266,41 @@ func newOSIndexFromSnapshot(g *bigraph.Graph, opt OSOptions, snap *edgeSnapshot)
 	return x
 }
 
-// acquireKernel returns a trial kernel over g's cached calibrated
+// trialKernel is the per-trial step of the Ordering Sampling run loop
+// (OS, the LocalExecutor's ExecOS workers and the OLS preparing phase):
+// it samples world id from its stream derived from root and fills sMB
+// with that world's maximum butterfly set. Its two implementations are
+// the global osIndex and the anchor-restricted anchoredIndex; everything
+// around the step — trial streams, accumulation, checkpoints, executors
+// and telemetry — is shared.
+type trialKernel interface {
+	// runTrialSeeded runs one trial. scanned is how many positions of
+	// the kernel's ordered scan the trial covered and fellBack whether it
+	// crossed the calibrated prefix (telemetry only).
+	runTrialSeeded(root *randx.RNG, id uint64, sMB *butterfly.MaxSet) (scanned int, fellBack bool)
+	// scanLen is the ordered-scan length the trial meter measures the
+	// scanned/pruned split against (0: the kernel has no ordered scan).
+	scanLen() int
+	// release hands the kernel back once its run is over.
+	release()
+}
+
+// acquireKernel returns the trial kernel opt selects: the anchored
+// kernel for an anchored run, which builds no global snapshot, and the
+// pooled global kernel otherwise.
+func acquireKernel(g *bigraph.Graph, opt OSOptions) trialKernel {
+	if opt.Anchor.Kind != 0 {
+		return newAnchoredIndex(g, opt.Anchor)
+	}
+	return acquireOSIndex(g, opt)
+}
+
+// acquireOSIndex returns a global kernel over g's cached calibrated
 // snapshot, reusing a previously released kernel when the snapshot's pool
-// has one. This is how every production runner (sequential OS, parallel
-// workers, candidate prep, the bench harness) obtains its kernel: repeat
-// runs and parallel chunks over the same graph stop paying the ~1MB
-// per-kernel build, which is what held the parallel path at ~40 allocs
-// per trial.
-func acquireKernel(g *bigraph.Graph, opt OSOptions) *osIndex {
+// has one: repeat runs and parallel chunks over the same graph stop
+// paying the ~1MB per-kernel build, which is what held the parallel path
+// at ~40 allocs per trial.
+func acquireOSIndex(g *bigraph.Graph, opt OSOptions) *osIndex {
 	snap := snapshotFor(g)
 	if k, ok := snap.kernels.Get().(*osIndex); ok && k != nil {
 		k.opt = opt
@@ -269,13 +310,15 @@ func acquireKernel(g *bigraph.Graph, opt OSOptions) *osIndex {
 	return newOSIndexFromSnapshot(g, opt, snap)
 }
 
-// releaseKernel returns a kernel obtained from acquireKernel to its
+// release returns a kernel obtained from acquireOSIndex to its
 // snapshot's pool. The options are cleared so a pooled kernel does not
 // retain caller hooks (OnTrial/Interrupt/Probe closures) beyond its run.
-func releaseKernel(x *osIndex) {
+func (x *osIndex) release() {
 	x.opt = OSOptions{}
 	x.snap.kernels.Put(x)
 }
+
+func (x *osIndex) scanLen() int { return x.snap.numEdges() }
 
 func (x *osIndex) resetTrial() {
 	x.liveCur++

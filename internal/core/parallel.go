@@ -145,8 +145,8 @@ func resolveExecutor(explicit TrialExecutor, workers, remaining int) (exec Trial
 // such a checkpoint. The OnTrial hook is not supported here (trial
 // completion order would be nondeterministic); use OS when tracing.
 func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
-	if opt.Trials <= 0 {
-		return nil, fmt.Errorf("core: OSParallel requires Trials > 0, got %d", opt.Trials)
+	if err := opt.check(g, "OSParallel"); err != nil {
+		return nil, err
 	}
 	if opt.OnTrial != nil {
 		return nil, fmt.Errorf("core: OSParallel does not support OnTrial; use OS")
@@ -154,7 +154,7 @@ func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 	start := 0
 	resumed := newProbAccumulator()
 	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, g); err != nil {
+		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, opt.Anchor, g); err != nil {
 			return nil, err
 		}
 		resumed = accumulatorFromCounts(opt.Resume.Counts)
@@ -174,6 +174,7 @@ func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 			DisableEdgePrune: opt.DisableEdgePrune,
 			KeepAllAngles:    opt.KeepAllAngles,
 			DropA2:           opt.DropA2,
+			Anchor:           opt.Anchor,
 		},
 		Interrupt: opt.Interrupt,
 		Probe:     opt.Probe,
@@ -186,7 +187,7 @@ func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
 	r.foldCounts(resumed)
 	var res *Result
 	if r.Done < opt.Trials {
-		res = resumed.partialResult("os", g, opt.Seed, opt.Trials, r.Done)
+		res = resumed.partialResult("os", g, opt.Seed, opt.Trials, r.Done, opt.Anchor)
 	} else {
 		res = resumed.result("os", opt.Trials)
 	}
@@ -227,6 +228,7 @@ func EstimateOptimizedParallel(c *Candidates, opt OptimizedOptions, workers int)
 		Kind:      ExecOptimized,
 		Graph:     c.G,
 		Cands:     c,
+		OS:        OSOptions{Anchor: c.Anchor},
 		Seed:      opt.Seed,
 		Units:     opt.Trials,
 		Start:     start,
@@ -276,6 +278,7 @@ func EstimateKarpLubyParallel(c *Candidates, opt KLOptions, workers int) ([]floa
 		Kind:  ExecKarpLuby,
 		Graph: c.G,
 		Cands: c,
+		OS:    OSOptions{Anchor: c.Anchor},
 		Seed:  opt.Seed,
 		Units: n,
 		Start: start,

@@ -291,7 +291,7 @@ func (a *probAccumulator) resultNorm(method string, trials, norm int) *Result {
 
 // partialResult finalizes a cancelled counting run: estimates normalized
 // over the done-trial prefix plus a resumable checkpoint.
-func (a *probAccumulator) partialResult(method string, g *bigraph.Graph, seed uint64, trials, done int) *Result {
+func (a *probAccumulator) partialResult(method string, g *bigraph.Graph, seed uint64, trials, done int, anchor Anchor) *Result {
 	res := a.resultNorm(method, trials, done)
 	res.Partial = true
 	res.Checkpoint = &Checkpoint{
@@ -299,6 +299,7 @@ func (a *probAccumulator) partialResult(method string, g *bigraph.Graph, seed ui
 		Seed:     seed,
 		Trials:   trials,
 		GraphCRC: g.Checksum(),
+		Anchor:   anchor,
 		Done:     done,
 		Counts:   a.snapshot(),
 	}

@@ -479,7 +479,7 @@ func (s *supervisor) runOLS() (*Result, error) {
 			// target; adopt it as the current escalation level.
 			prepTarget = ck.PrepTrials
 		}
-		if err := ck.resumeCheck(method, s.opt.Seed, s.opt.Trials, prepTarget, s.opt.mu(), s.g); err != nil {
+		if err := ck.resumeCheck(method, s.opt.Seed, s.opt.Trials, prepTarget, s.opt.mu(), Anchor{}, s.g); err != nil {
 			return nil, err
 		}
 		if ck.Prepare {

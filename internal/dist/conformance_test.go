@@ -68,6 +68,21 @@ func baseOptions(method mpmb.Method) mpmb.Options {
 	}
 }
 
+// distQuery is one query row of the conformance tests; the global row
+// keeps the bare method name.
+type distQuery struct {
+	name string
+	q    func() *mpmb.Query
+}
+
+// distQueries are the global query plus a vertex- and an edge-anchored
+// one: anchored runs ride the same executor, so they must conform too.
+var distQueries = []distQuery{
+	{"", func() *mpmb.Query { return nil }},
+	{"/anchor-l", func() *mpmb.Query { v := mpmb.VertexID(0); return &mpmb.Query{AnchorL: &v} }},
+	{"/anchor-edge", func() *mpmb.Query { return &mpmb.Query{AnchorEdge: &mpmb.EdgeAnchor{U: 0, V: 5}} }},
+}
+
 // TestConformanceBitIdentical is the core acceptance bar: a coordinator
 // plus {1,2,4} workers must return a Result that is bit-identical —
 // reflect.DeepEqual over the whole struct, exact float64 estimates
@@ -75,28 +90,32 @@ func baseOptions(method mpmb.Method) mpmb.Options {
 func TestConformanceBitIdentical(t *testing.T) {
 	g := meshGraph(t)
 	for _, method := range distMethods {
-		seq, err := mpmb.Search(g, baseOptions(method))
-		if err != nil {
-			t.Fatalf("%s sequential: %v", method, err)
-		}
-		if _, ok := seq.Best(); !ok {
-			t.Fatalf("%s sequential found nothing; fixture too sparse", method)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/%dw", method, workers), func(t *testing.T) {
-				coord := NewCoordinator()
-				coord.LeaseUnits = 64 // force many leases per run
-				fleet(t, coord, workers)
-				opt := baseOptions(method)
-				opt.Executor = &Executor{C: coord}
-				got, err := mpmb.Search(g, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("distributed Result diverges from sequential\n got: %+v\nwant: %+v", got, seq)
-				}
-			})
+		for _, dq := range distQueries {
+			opt := baseOptions(method)
+			opt.Query = dq.q()
+			seq, err := mpmb.Search(g, opt)
+			if err != nil {
+				t.Fatalf("%s%s sequential: %v", method, dq.name, err)
+			}
+			if _, ok := seq.Best(); !ok {
+				t.Fatalf("%s%s sequential found nothing; fixture too sparse", method, dq.name)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s%s/%dw", method, dq.name, workers), func(t *testing.T) {
+					coord := NewCoordinator()
+					coord.LeaseUnits = 64 // force many leases per run
+					fleet(t, coord, workers)
+					opt := opt
+					opt.Executor = &Executor{C: coord}
+					got, err := mpmb.Search(g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, seq) {
+						t.Fatalf("distributed Result diverges from sequential\n got: %+v\nwant: %+v", got, seq)
+					}
+				})
+			}
 		}
 	}
 }
@@ -198,6 +217,17 @@ func coordProgress(c *Coordinator) (prefix, start int, ok bool) {
 	return 0, 0, false
 }
 
+// coordDraining reports whether the single active job's frontier is
+// frozen for an interrupted executor's drain.
+func coordDraining(c *Coordinator) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, j := range c.jobs {
+		return j.draining
+	}
+	return false
+}
+
 // TestConformanceMidRunResume cancels a distributed run once the
 // coordinator has merged a strict prefix, checkpoints the partial
 // Result, then finishes it — again distributed — and requires the final
@@ -205,91 +235,100 @@ func coordProgress(c *Coordinator) (prefix, start int, ok bool) {
 func TestConformanceMidRunResume(t *testing.T) {
 	g := meshGraph(t)
 	for _, method := range distMethods {
-		t.Run(string(method), func(t *testing.T) {
-			seq, err := mpmb.Search(g, baseOptions(method))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Narrow leases: ols-kl's units are candidates (far fewer than
-			// trials), and the interrupt must land between leases. A single
-			// worker with an injected hold makes the interruption
-			// deterministic: it completes the first range, then parks its
-			// second completion until the search has been cancelled — so the
-			// coordinator's merged prefix is a strict, non-empty prefix when
-			// the executor collects it.
-			coord := NewCoordinator()
-			coord.LeaseUnits = 4
-			hs := httptest.NewServer(coord.Handler())
-			defer hs.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			cancelled := make(chan struct{})
-			var completes int32
-			w := &Worker{Base: hs.URL, Pool: 1, testFaults: &workerFaults{
-				interceptComplete: func(*LeaseComplete) bool {
-					if atomic.AddInt32(&completes, 1) == 2 {
-						select {
-						case <-cancelled:
-						case <-time.After(5 * time.Second):
-						}
-					}
-					return true
-				},
-			}}
-			workerCtx, stopWorker := context.WithCancel(context.Background())
-			var wwg sync.WaitGroup
-			wwg.Add(1)
-			go func() { defer wwg.Done(); w.Run(workerCtx) }()
-			defer func() { stopWorker(); wwg.Wait() }()
-			// Cancel as soon as the sampling-phase job has merged at least
-			// one range; the held second completion guarantees it is not all
-			// of them.
-			go func() {
-				for {
-					if prefix, start, ok := coordProgress(coord); ok && prefix > start {
-						cancel()
-						close(cancelled)
-						return
-					}
-					select {
-					case <-ctx.Done():
-						return
-					case <-time.After(100 * time.Microsecond):
-					}
+		for _, dq := range distQueries {
+			t.Run(string(method)+dq.name, func(t *testing.T) {
+				opt := baseOptions(method)
+				opt.Query = dq.q()
+				seq, err := mpmb.Search(g, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
-			opt := baseOptions(method)
-			opt.Executor = &Executor{C: coord, Poll: time.Millisecond}
-			partial, err := mpmb.SearchContext(ctx, g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !partial.Partial {
-				t.Fatal("run completed despite the held completion; expected a partial result")
-			}
-			if partial.Checkpoint == nil {
-				t.Fatal("partial distributed run carried no checkpoint")
-			}
-			if partial.TrialsDone <= 0 || partial.TrialsDone >= opt.Trials {
-				t.Fatalf("TrialsDone = %d, want a strict prefix of %d", partial.TrialsDone, opt.Trials)
-			}
+				midRunResume(t, g, opt, seq)
+			})
+		}
+	}
+}
 
-			// Finish the run through a fresh coordinator and fleet.
-			coord2 := NewCoordinator()
-			coord2.LeaseUnits = 4
-			fleet(t, coord2, 4)
-			ropt := baseOptions(method)
-			ropt.Resume = partial.Checkpoint
-			ropt.Executor = &Executor{C: coord2}
-			final, err := mpmb.Search(g, ropt)
-			if err != nil {
-				t.Fatal(err)
+// midRunResume cuts a distributed run of opt mid-way and finishes it
+// from the checkpoint, distributed again; the final Result must equal
+// seq.
+func midRunResume(t *testing.T, g *mpmb.Graph, opt mpmb.Options, seq *mpmb.Result) {
+	t.Helper()
+	// Narrow leases: ols-kl's units are candidates (far fewer than
+	// trials), and the interrupt must land between leases. A single
+	// worker with an injected hold makes the interruption deterministic:
+	// it completes the first range, then parks its second completion
+	// until the executor has seen the cancellation and frozen the job's
+	// frontier — so no later range can finish the run first, and the
+	// merged prefix the executor collects is a strict, non-empty prefix.
+	coord := NewCoordinator()
+	coord.LeaseUnits = 4
+	hs := httptest.NewServer(coord.Handler())
+	defer hs.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var completes int32
+	w := &Worker{Base: hs.URL, Pool: 1, testFaults: &workerFaults{
+		interceptComplete: func(*LeaseComplete) bool {
+			if atomic.AddInt32(&completes, 1) == 2 {
+				deadline := time.Now().Add(5 * time.Second)
+				for !coordDraining(coord) && time.Now().Before(deadline) {
+					time.Sleep(100 * time.Microsecond)
+				}
 			}
-			if !reflect.DeepEqual(final, seq) {
-				t.Fatalf("resumed distributed Result diverges from sequential\n got: %+v\nwant: %+v", final, seq)
+			return true
+		},
+	}}
+	workerCtx, stopWorker := context.WithCancel(context.Background())
+	var wwg sync.WaitGroup
+	wwg.Add(1)
+	go func() { defer wwg.Done(); w.Run(workerCtx) }()
+	defer func() { stopWorker(); wwg.Wait() }()
+	// Cancel as soon as the sampling-phase job has merged at least one
+	// range; the held second completion guarantees it is not all of
+	// them.
+	go func() {
+		for {
+			if prefix, start, ok := coordProgress(coord); ok && prefix > start {
+				cancel()
+				return
 			}
-		})
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	cut := opt
+	cut.Executor = &Executor{C: coord, Poll: time.Millisecond}
+	partial, err := mpmb.SearchContext(ctx, g, cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !partial.Partial {
+		t.Fatal("run completed despite the held completion; expected a partial result")
+	}
+	if partial.Checkpoint == nil {
+		t.Fatal("partial distributed run carried no checkpoint")
+	}
+	if partial.TrialsDone <= 0 || partial.TrialsDone >= opt.Trials {
+		t.Fatalf("TrialsDone = %d, want a strict prefix of %d", partial.TrialsDone, opt.Trials)
+	}
+
+	// Finish the run through a fresh coordinator and fleet.
+	coord2 := NewCoordinator()
+	coord2.LeaseUnits = 4
+	fleet(t, coord2, 4)
+	ropt := opt
+	ropt.Resume = partial.Checkpoint
+	ropt.Executor = &Executor{C: coord2}
+	final, err := mpmb.Search(g, ropt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(final, seq) {
+		t.Fatalf("resumed distributed Result diverges from sequential\n got: %+v\nwant: %+v", final, seq)
 	}
 }
 

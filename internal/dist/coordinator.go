@@ -170,6 +170,9 @@ func (c *Coordinator) register(job *core.ExecJob) (uint64, chan struct{}, error)
 			DisableEdgePrune: job.OS.DisableEdgePrune,
 			KeepAllAngles:    job.OS.KeepAllAngles,
 			DropA2:           job.OS.DropA2,
+			AnchorKind:       uint8(job.OS.Anchor.Kind),
+			AnchorU:          job.OS.Anchor.U,
+			AnchorV:          job.OS.Anchor.V,
 			GraphCRC:         job.Graph.Checksum(),
 			LeaseUnits:       c.leaseUnits(),
 		},

@@ -41,7 +41,9 @@ import (
 
 // Version is the wire protocol version. Every message carries it; a
 // mismatch is rejected with ErrVersionSkew before anything is trusted.
-const Version = 1
+// Version 2 added the anchor to JobSpec: a version-1 worker would ignore
+// it and silently run the global kernel.
+const Version = 2
 
 // maxMessageBytes bounds a decoded protocol message. Payload sizes are
 // bounded by candidate-set width and distinct-butterfly counts, both of
@@ -98,6 +100,12 @@ type JobSpec struct {
 	DisableEdgePrune bool `json:"disable_edge_prune,omitempty"`
 	KeepAllAngles    bool `json:"keep_all_angles,omitempty"`
 	DropA2           bool `json:"drop_a2,omitempty"`
+
+	// The anchor of an anchored run (core.Anchor; kind 0 is a global
+	// run), for ExecOS execution and candidate re-preparation both.
+	AnchorKind uint8  `json:"anchor_kind,omitempty"`
+	AnchorU    uint32 `json:"anchor_u,omitempty"`
+	AnchorV    uint32 `json:"anchor_v,omitempty"`
 
 	// GraphCRC fingerprints the graph; workers verify the fetched bytes
 	// against it before executing anything.

@@ -85,9 +85,10 @@ type workerGraph struct {
 
 // candKey identifies a deterministic candidate preparation.
 type candKey struct {
-	prep  int
-	seed  uint64
-	flags uint8
+	prep   int
+	seed   uint64
+	flags  uint8
+	anchor core.Anchor
 }
 
 // Run leases and executes ranges until ctx is cancelled or the
@@ -285,6 +286,7 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 		DisableEdgePrune: spec.DisableEdgePrune,
 		KeepAllAngles:    spec.KeepAllAngles,
 		DropA2:           spec.DropA2,
+		Anchor:           core.Anchor{Kind: core.AnchorKind(spec.AnchorKind), U: spec.AnchorU, V: spec.AnchorV},
 	}
 	var cands *core.Candidates
 	if kind != core.ExecOS {
@@ -381,7 +383,7 @@ func (w *Worker) graph(ctx context.Context, spec *JobSpec) (*workerGraph, error)
 
 // candidates rebuilds (or returns the cached) candidate set for a spec.
 // Re-preparation is deterministic in (run seed, prep trials, kernel
-// flags), so every worker derives the exact candidate list the
+// flags, anchor), so every worker derives the exact candidate list the
 // coordinator's own preparing phase produced.
 func (w *Worker) candidates(wg *workerGraph, spec *JobSpec, osOpt core.OSOptions) (*core.Candidates, error) {
 	var flags uint8
@@ -394,7 +396,7 @@ func (w *Worker) candidates(wg *workerGraph, spec *JobSpec, osOpt core.OSOptions
 	if spec.DropA2 {
 		flags |= 4
 	}
-	key := candKey{prep: spec.PrepTrials, seed: spec.RunSeed, flags: flags}
+	key := candKey{prep: spec.PrepTrials, seed: spec.RunSeed, flags: flags, anchor: osOpt.Anchor}
 	if c, ok := wg.cands[key]; ok {
 		return c, nil
 	}

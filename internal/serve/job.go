@@ -90,9 +90,6 @@ type edgeAnchorSpec struct {
 // query builds the Options.Query for the spec's variant fields, or nil
 // for a plain global search.
 func (sp JobSpec) query() *mpmb.Query {
-	if !sp.scoped() && !sp.AdaptivePrep {
-		return nil
-	}
 	q := &mpmb.Query{AdaptivePrep: sp.AdaptivePrep}
 	if sp.AnchorL != nil {
 		v := mpmb.VertexID(*sp.AnchorL)
@@ -107,6 +104,9 @@ func (sp JobSpec) query() *mpmb.Query {
 	}
 	if sp.hasCommunity() {
 		q.Community = &mpmb.Communities{L: sp.CommunitiesL, R: sp.CommunitiesR, TopK: sp.CommunityTopK}
+	}
+	if *q == (mpmb.Query{}) {
+		return nil
 	}
 	return q
 }
@@ -168,25 +168,21 @@ func (sp JobSpec) cost() float64 {
 	return c
 }
 
-// hasCommunity reports whether any community field is set.
+// hasCommunity reports whether any community field is set. The engine
+// rejects Options.Resume and an explicit Executor for per-community
+// queries, so community jobs run unsliced and local; anchored jobs
+// checkpoint, drain and distribute like global ones.
 func (sp JobSpec) hasCommunity() bool {
 	return len(sp.CommunitiesL) > 0 || len(sp.CommunitiesR) > 0 || sp.CommunityTopK != 0
 }
 
-// scoped reports whether the spec restricts the search to an anchor or
-// to communities. The engine rejects Options.Resume and an explicit
-// Executor for such queries, so scoped jobs run unsliced and local.
-func (sp JobSpec) scoped() bool {
-	return sp.AnchorL != nil || sp.AnchorR != nil || sp.AnchorEdge != nil || sp.hasCommunity()
-}
-
 // resumable reports whether the job can checkpoint and resume.
 func (sp JobSpec) resumable() bool {
-	return mpmb.Method(sp.Method) != mpmb.MethodExact && !sp.scoped()
+	return mpmb.Method(sp.Method) != mpmb.MethodExact && !sp.hasCommunity()
 }
 
 // distributable reports whether the job may ride the dist coordinator's
-// executor: sampling methods only, no scoped query, and none of the
+// executor: sampling methods only, no community query, and none of the
 // adaptive options — supervision reshapes the trial schedule mid-run,
 // which an explicit executor rejects (see Options.Executor).
 func (sp JobSpec) distributable() bool {
@@ -196,7 +192,7 @@ func (sp JobSpec) distributable() bool {
 		return false
 	}
 	return sp.AuditEvery == 0 && sp.Epsilon == 0 && sp.DeadlineMS == 0 && sp.StallTimeoutMS == 0 &&
-		!sp.scoped()
+		!sp.hasCommunity()
 }
 
 // Job is one admitted search: the persisted manifest fields plus the

@@ -343,27 +343,45 @@ func TestTenantBudgetRetryAfter(t *testing.T) {
 	waitState(t, hs.URL, id1, JobDone)
 }
 
-// TestDrainSuspendRestartBitIdentical is the tentpole round trip: a
-// running job is checkpoint-suspended by drain, a second server over the
-// same state dir resumes it, and the finished result is bit-identical
-// to an uninterrupted run.
+// TestDrainSuspendRestartBitIdentical: drain parks every running job —
+// a global OS job and an anchored OLS job — with its checkpoint, and a
+// daemon restarted over the same state resumes both to Results
+// bit-identical to uninterrupted runs. Each job is sized from the
+// measured trial rate of this host (under -race too) to about a second
+// of work: long enough that drain lands mid-run, short enough to finish
+// well inside the wait.
 func TestDrainSuspendRestartBitIdentical(t *testing.T) {
 	graphs := t.TempDir()
 	state := t.TempDir()
 	g := buildMeshGraph(t, graphs, "mesh.graph")
-	const trials = 400_000
-	spec := map[string]any{"graph": "mesh.graph", "method": "os", "trials": trials, "seed": 42, "top_k": 5}
-
-	// Reference: the same search, never interrupted.
-	ref, err := mpmb.Search(g, mpmb.Options{Method: mpmb.MethodOS, Trials: trials, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	anchor := mpmb.VertexID(0)
+	jobs := []struct {
+		name string
+		opt  mpmb.Options
+		spec map[string]any
+		id   string
+		want resultDoc
+	}{
+		{name: "global os", opt: mpmb.Options{Method: mpmb.MethodOS, Seed: 42},
+			spec: map[string]any{"method": "os"}},
+		{name: "anchored ols", opt: mpmb.Options{Method: mpmb.MethodOLS, PrepTrials: 100, Mu: 0.05, Seed: 42, Query: &mpmb.Query{AnchorL: &anchor}},
+			spec: map[string]any{"method": "ols", "anchor_l": 0}},
 	}
-	want := resultDocFrom("", JobSpec{TopK: 5}, ref)
+	for i := range jobs {
+		jb := &jobs[i]
+		jb.opt.Trials = trialsForDuration(t, g, jb.opt, time.Second)
+		ref, err := mpmb.Search(g, jb.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb.want = resultDocFrom("", JobSpec{TopK: 5}, ref)
+		t.Logf("%s: sized to %d trials", jb.name, jb.opt.Trials)
+		jb.spec["graph"], jb.spec["trials"], jb.spec["seed"], jb.spec["top_k"] = "mesh.graph", jb.opt.Trials, 42, 5
+	}
 
 	cfg := Config{
 		GraphRoot: graphs, StateDir: state,
-		Workers: 1, CheckpointEvery: 20 * time.Millisecond,
+		Workers: len(jobs), CheckpointEvery: 20 * time.Millisecond,
 		DrainGrace: 30 * time.Millisecond, JournalEvents: true,
 	}
 	srv1, err := New(cfg)
@@ -372,26 +390,29 @@ func TestDrainSuspendRestartBitIdentical(t *testing.T) {
 	}
 	hs1 := httptest.NewServer(srv1.Handler())
 
-	id, _ := submitJob(t, hs1.URL, "", spec)
-	if id == "" {
-		t.Fatal("submission rejected")
+	for i := range jobs {
+		if jobs[i].id, _ = submitJob(t, hs1.URL, "", jobs[i].spec); jobs[i].id == "" {
+			t.Fatalf("%s: submission rejected", jobs[i].name)
+		}
 	}
-	// Wait for the first persisted checkpoint, so the suspension has a
-	// prefix to resume (drain would checkpoint anyway; this derandomizes
-	// the test).
+	// Wait for each job's first persisted checkpoint, so the suspension
+	// has a prefix to resume (drain would checkpoint anyway; this
+	// derandomizes the test).
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		doc := jobStatus(t, hs1.URL, id)
-		if doc.Checkpointed && doc.TrialsDone > 0 {
-			break
+	for _, jb := range jobs {
+		for {
+			doc := jobStatus(t, hs1.URL, jb.id)
+			if doc.Checkpointed && doc.TrialsDone > 0 {
+				break
+			}
+			if doc.State == JobDone {
+				t.Fatalf("%s job finished before drain could interrupt it; grow the fixture", jb.name)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no checkpoint appeared; job state %q err %q", jb.name, doc.State, doc.Error)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		if doc.State == JobDone {
-			t.Fatal("job finished before drain could interrupt it; grow the fixture")
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no checkpoint appeared; job state %q err %q", doc.State, doc.Error)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), srv1.DrainBudget())
@@ -402,23 +423,25 @@ func TestDrainSuspendRestartBitIdentical(t *testing.T) {
 	if !srv1.Draining() {
 		t.Fatal("Draining() false after Drain")
 	}
-	doc := jobStatus(t, hs1.URL, id)
-	if doc.State != JobSuspended {
-		t.Fatalf("job %q after drain, want suspended (err %q)", doc.State, doc.Error)
-	}
-	if got := doc.TrialsDone; got <= 0 || got >= trials {
-		t.Fatalf("suspended with trials_done = %d, want a strict prefix of %d", got, trials)
-	}
-	if _, err := os.Stat(filepath.Join(state, "checkpoints", id+".ckpt")); err != nil {
-		t.Fatalf("no checkpoint on disk after drain: %v", err)
+	for _, jb := range jobs {
+		doc := jobStatus(t, hs1.URL, jb.id)
+		if doc.State != JobSuspended {
+			t.Fatalf("%s job %q after drain, want suspended (err %q)", jb.name, doc.State, doc.Error)
+		}
+		if got := doc.TrialsDone; got <= 0 || got >= jb.opt.Trials {
+			t.Fatalf("%s suspended with trials_done = %d, want a strict prefix of %d", jb.name, got, jb.opt.Trials)
+		}
+		if _, err := os.Stat(filepath.Join(state, "checkpoints", jb.id+".ckpt")); err != nil {
+			t.Fatalf("%s: no checkpoint on disk after drain: %v", jb.name, err)
+		}
 	}
 	// Submissions during drain answer 503.
-	if rid, resp := submitJob(t, hs1.URL, "", spec); rid != "" || resp.StatusCode != http.StatusServiceUnavailable {
+	if rid, resp := submitJob(t, hs1.URL, "", jobs[0].spec); rid != "" || resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drain admission = HTTP %d, want 503", resp.StatusCode)
 	}
 	hs1.Close()
 
-	// Restart over the same state: the job must resume and finish.
+	// Restart over the same state: the jobs must resume and finish.
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -428,41 +451,59 @@ func TestDrainSuspendRestartBitIdentical(t *testing.T) {
 		hs2.Close()
 		srv2.Close()
 	}()
-	doc = waitState(t, hs2.URL, id, JobDone, JobFailed)
-	if doc.State != JobDone {
-		t.Fatalf("resumed job failed: %s", doc.Error)
-	}
-	if !doc.Resumed {
-		t.Fatal("finished job not marked as resumed")
-	}
+	for _, jb := range jobs {
+		doc := waitState(t, hs2.URL, jb.id, JobDone, JobFailed)
+		if doc.State != JobDone {
+			t.Fatalf("%s: resumed job failed: %s", jb.name, doc.Error)
+		}
+		if !doc.Resumed {
+			t.Fatalf("%s: finished job not marked as resumed", jb.name)
+		}
 
-	resp, err := http.Get(hs2.URL + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got resultDoc
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Partial {
-		t.Fatal("resumed result still partial")
-	}
-	if got.Trials != trials {
-		t.Fatalf("resumed result trials = %d, want %d", got.Trials, trials)
-	}
-	if len(got.Top) != len(want.Top) {
-		t.Fatalf("%d top entries, want %d", len(got.Top), len(want.Top))
-	}
-	for i := range got.Top {
-		if got.Top[i] != want.Top[i] {
-			t.Fatalf("top[%d] = %+v, want %+v — suspend/resume broke bit-identity", i, got.Top[i], want.Top[i])
+		resp, err := http.Get(hs2.URL + "/v1/jobs/" + jb.id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got resultDoc
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Partial {
+			t.Fatalf("%s: resumed result still partial", jb.name)
+		}
+		if got.Trials != jb.opt.Trials {
+			t.Fatalf("%s: resumed result trials = %d, want %d", jb.name, got.Trials, jb.opt.Trials)
+		}
+		if len(got.Top) != len(jb.want.Top) {
+			t.Fatalf("%s: %d top entries, want %d", jb.name, len(got.Top), len(jb.want.Top))
+		}
+		for i := range got.Top {
+			if got.Top[i] != jb.want.Top[i] {
+				t.Fatalf("%s: top[%d] = %+v, want %+v — suspend/resume broke bit-identity", jb.name, i, got.Top[i], jb.want.Top[i])
+			}
+		}
+		// The journal survived both processes.
+		if fi, err := os.Stat(filepath.Join(state, "events", jb.id+".jsonl")); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: event journal missing or empty: %v", jb.name, err)
 		}
 	}
-	// The journal survived both processes.
-	if fi, err := os.Stat(filepath.Join(state, "events", id+".jsonl")); err != nil || fi.Size() == 0 {
-		t.Fatalf("event journal missing or empty: %v", err)
+}
+
+// trialsForDuration sizes opt's trial count so that a run takes about d
+// on this host: it times a short probe run and scales its trial count,
+// clamped to [2000, 2e6].
+func trialsForDuration(t *testing.T, g *mpmb.Graph, opt mpmb.Options, d time.Duration) int {
+	t.Helper()
+	const probe = 2000
+	opt.Trials = probe
+	start := time.Now()
+	if _, err := mpmb.Search(g, opt); err != nil {
+		t.Fatal(err)
 	}
+	n := int(float64(probe) * float64(d) / float64(time.Since(start)+time.Microsecond))
+	return min(max(n, probe), 2_000_000)
 }
 
 // TestShutdownLeaksNoGoroutines: a server that admitted, ran, cancelled

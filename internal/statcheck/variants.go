@@ -78,9 +78,10 @@ func (h *harness) runAnchored(ci int, cs *CaseReport, g *bigraph.Graph, a core.A
 		exactP[e.B] = e.P
 	}
 
-	osRes, err := core.AnchoredOS(g, a, core.OSOptions{
+	osRes, err := core.OS(g, core.OSOptions{
 		Trials: h.cfg.Trials,
 		Seed:   anchorMix(h.seedFor(ci, slotAnchoredOS), a),
+		Anchor: a,
 	})
 	if err != nil {
 		return err
@@ -92,7 +93,7 @@ func (h *harness) runAnchored(ci int, cs *CaseReport, g *bigraph.Graph, a core.A
 	}
 
 	seed := anchorMix(h.seedFor(ci, slotAnchoredOLS), a)
-	cands, err := core.PrepareAnchoredCandidates(g, a, h.cfg.PrepTrials, seed, nil)
+	cands, err := core.PrepareCandidates(g, h.cfg.PrepTrials, seed, core.OSOptions{Anchor: a})
 	if err != nil {
 		return err
 	}

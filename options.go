@@ -52,8 +52,8 @@ type Options struct {
 	// Resume continues a cancelled run from the Checkpoint attached to its
 	// partial Result (see SearchContext). The options must match the
 	// checkpointed run; the finished result is bit-identical to an
-	// uninterrupted one. Supported by mc-vp, os, ols and ols-kl; anchored
-	// and per-community queries reject it (see Query).
+	// uninterrupted one. Supported by mc-vp, os, ols and ols-kl;
+	// per-community queries reject it (see Query).
 	Resume *Checkpoint
 	// Observer, if non-nil, instruments the run: counters, gauges and the
 	// trial-latency histogram accumulate into it (snapshot any time via
@@ -70,7 +70,7 @@ type Options struct {
 	// any conforming executor returns a Result bit-identical to the
 	// sequential run with the same options. Supported by os, ols and
 	// ols-kl, without adaptive options; exact and mc-vp reject it, as do
-	// anchored and per-community queries.
+	// per-community queries.
 	Executor Executor
 
 	// The adaptive options below route the run through the supervisor

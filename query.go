@@ -41,9 +41,11 @@ type Communities struct {
 // scans enumerate only the anchor's two-hop neighbourhood, so P(B) is
 // the probability that B is (one of) the heaviest among the
 // anchor-containing butterflies of a world. They support MethodExact,
-// MethodOS, MethodOLS and MethodOLSKL, reject Resume, Executor and the
-// adaptive supervisor options, and an anchor contained in no butterfly
-// yields an empty Result. Anchored MethodExact runs are not
+// MethodOS, MethodOLS and MethodOLSKL and run on the same trial loop as
+// a global query, so they take Resume (a checkpoint records its anchor
+// and resumes only the same query) and Executor like one. They reject
+// the adaptive supervisor options, and an anchor contained in no
+// butterfly yields an empty Result. Anchored MethodExact runs are not
 // interruptible (they are bounded by the 24-edge enumeration limit).
 //
 // Community queries run one search per community label over its induced
@@ -51,9 +53,8 @@ type Communities struct {
 // GOMAXPROCS) with each community's run kept sequential; per-community
 // seeds derive deterministically from (Options.Seed, label). The merged
 // Result concatenates each community's top-k estimates and carries the
-// full per-community results in Result.Communities. Like anchored
-// queries, they reject Resume, Executor and the adaptive supervisor
-// options.
+// full per-community results in Result.Communities. They reject Resume,
+// Executor and the adaptive supervisor options.
 //
 // AdaptivePrep runs a sublinear butterfly-count pre-pass (sampled
 // per-edge wedge expectations, after the approximate-counting literature)
@@ -163,13 +164,15 @@ func (q *Query) validate(o Options, m Method) error {
 		f, v := q.anchorField()
 		return &OptionError{Field: f, Value: v, Reason: "anchored queries support exact, os, ols and ols-kl; mc-vp enumerates whole worlds and cannot restrict to the anchor"}
 	}
-	if anchors > 0 || q.Community != nil {
+	if q.Community != nil {
 		if o.Resume != nil {
-			return &OptionError{Field: "Resume", Value: o.Resume, Reason: "anchored and per-community queries cannot resume from a checkpoint"}
+			return &OptionError{Field: "Resume", Value: o.Resume, Reason: "per-community queries cannot resume from a checkpoint"}
 		}
 		if o.Executor != nil {
-			return &OptionError{Field: "Executor", Value: o.Executor, Reason: "anchored and per-community queries do not support an explicit Executor yet; use Options.Workers"}
+			return &OptionError{Field: "Executor", Value: o.Executor, Reason: "per-community queries do not support an explicit Executor yet; use Options.Workers"}
 		}
+	}
+	if anchors > 0 || q.Community != nil {
 		if o.adaptive() {
 			f, v := o.adaptiveField()
 			return &OptionError{Field: f, Value: v, Reason: "adaptive supervision does not compose with anchored or per-community queries yet; use Query.AdaptivePrep for adaptive preparation sizing"}

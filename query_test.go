@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/core"
@@ -78,8 +79,8 @@ func TestQueryValidation(t *testing.T) {
 			o.Method = MethodMCVP
 			o.Query = &Query{AnchorL: vptr(0)}
 		}, "Query.AnchorL"},
-		{"anchored resume", func(o *Options) {
-			o.Query = &Query{AnchorR: vptr(0)}
+		{"community resume", func(o *Options) {
+			o.Query = &Query{Community: blockLabels()}
 			o.Resume = &Checkpoint{}
 		}, "Resume"},
 		{"community executor", func(o *Options) {
@@ -113,11 +114,17 @@ func TestQueryValidation(t *testing.T) {
 			}
 		})
 	}
-	// The zero Query is the global query and must stay valid.
+	// The zero Query is the global query and must stay valid, and an
+	// anchored query takes Resume and Executor like a global one.
 	o := base()
 	o.Query = &Query{}
 	if err := o.Validate(); err != nil {
 		t.Fatalf("zero Query rejected: %v", err)
+	}
+	o.Query = &Query{AnchorR: vptr(0)}
+	o.Resume, o.Executor = &Checkpoint{}, stubExecutor{}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("anchored Resume/Executor rejected: %v", err)
 	}
 }
 
@@ -461,21 +468,81 @@ func TestSearcherQueryParity(t *testing.T) {
 	}
 }
 
+// TestAnchoredSearchContextCancel: a cancelled anchored search returns
+// a checkpoint recording its anchor, which resumes to the uncut Result.
 func TestAnchoredSearchContextCancel(t *testing.T) {
 	g := figure1(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := DefaultOptions()
-	opt.Trials = 5000
-	opt.Query = &Query{AnchorL: vptr(0)}
-	res, err := SearchContext(ctx, g, opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []Method{MethodOS, MethodOLS} {
+		opt := DefaultOptions()
+		opt.Method = m
+		opt.Trials = 5000
+		opt.Query = &Query{AnchorL: vptr(0)}
+		res, err := SearchContext(ctx, g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Partial {
+			t.Fatalf("%s: cancelled anchored search returned a complete result", m)
+		}
+		if ck := res.Checkpoint; ck == nil || ck.Anchor.Kind == 0 {
+			t.Fatalf("%s: cancelled anchored search checkpoint %+v does not record the anchor", m, ck)
+		}
+		want, err := Search(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Resume = res.Checkpoint
+		got, err := Search(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: resumed anchored search differs from the uncut run", m)
+		}
 	}
-	if !res.Partial {
-		t.Fatal("cancelled anchored search returned a complete result")
+}
+
+// TestResumeRefusesForeignAnchor: a checkpoint resumes only the query it
+// was cut from — anchored to global, global to anchored and one anchor to
+// another are refused for OS and for OLS cut in either phase. An anchored
+// OLS run cut in its sampling phase once silently resumed a global run,
+// reporting P = 0.99/0.985/0.98 where the uncut run gives 1.0.
+func TestResumeRefusesForeignAnchor(t *testing.T) {
+	b := NewBuilder(6, 6)
+	for u := VertexID(0); u < 2; u++ {
+		for v := VertexID(0); v < 3; v++ {
+			b.MustAddEdge(u, v, 1, 0.9)
+		}
 	}
-	if res.Checkpoint != nil {
-		t.Fatal("anchored partial results must not carry a checkpoint (Resume is rejected)")
+	for u := VertexID(3); u < 6; u++ {
+		for v := VertexID(4); v < 6; v++ {
+			b.MustAddEdge(u, v, 10, 1)
+		}
+	}
+	g := b.Build()
+	l0 := &Query{AnchorL: vptr(0)}
+	l1 := &Query{AnchorL: vptr(1)}
+	for _, c := range []struct {
+		name     string
+		from, to *Query
+	}{{"anchored to global", l0, nil}, {"global to anchored", nil, l0}, {"anchor to anchor", l0, l1}} {
+		for _, m := range []Method{MethodOS, MethodOLS} {
+			for _, cut := range []int64{10, 60} { // OLS: preparing, then sampling phase
+				opt := Options{Method: m, PrepTrials: 50, Trials: 200, Seed: 7, Query: c.from}
+				part, err := NewSearcher(g).run(opt, cutAfter(cut))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !part.Partial || part.Checkpoint == nil || m == MethodOLS && part.Checkpoint.Prepare != (cut == 10) {
+					t.Fatalf("%s %s cut %d: no checkpoint from the expected phase: %+v", c.name, m, cut, part)
+				}
+				opt.Query, opt.Resume = c.to, part.Checkpoint
+				if res, err := Search(g, opt); err == nil {
+					t.Fatalf("%s %s cut %d: foreign checkpoint resumed, giving %+v", c.name, m, cut, res.Estimates)
+				}
+			}
+		}
 	}
 }

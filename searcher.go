@@ -148,10 +148,9 @@ func (s *Searcher) searchGraph(opt Options, interrupt func() bool) (*Result, err
 // runMethod hands a resolved query to the method's core runner.
 func (s *Searcher) runMethod(opt Options, anchor core.Anchor, interrupt func() bool) (*Result, error) {
 	probe := opt.Observer.probe(opt.Method, opt.Workers)
-	anchored := anchor.Kind != 0
 	switch opt.Method {
 	case MethodExact:
-		if anchored {
+		if anchor.Kind != 0 {
 			return core.ExactAnchored(s.g, anchor)
 		}
 		return core.ExactInterruptible(s.g, interrupt)
@@ -177,13 +176,9 @@ func (s *Searcher) runMethod(opt Options, anchor core.Anchor, interrupt func() b
 		Resume:    opt.Resume,
 		Probe:     probe,
 		Executor:  opt.Executor,
+		Anchor:    anchor,
 	}
-	switch {
-	case anchored && opt.Workers > 0:
-		return core.AnchoredOSParallel(s.g, anchor, osOpt, opt.Workers)
-	case anchored:
-		return core.AnchoredOS(s.g, anchor, osOpt)
-	case opt.Workers > 0 || opt.Executor != nil:
+	if opt.Workers > 0 || opt.Executor != nil {
 		return core.OSParallel(s.g, osOpt, opt.Workers)
 	}
 	return core.OS(s.g, osOpt)
@@ -207,6 +202,7 @@ func (s *Searcher) runOLS(opt Options, anchor core.Anchor, interrupt func() bool
 		Resume:      opt.Resume,
 		Probe:       probe,
 		Executor:    opt.Executor,
+		OS:          core.OSOptions{Anchor: anchor},
 	}
 	prepOpt := olsOpt
 	switch {
@@ -221,7 +217,7 @@ func (s *Searcher) runOLS(opt Options, anchor core.Anchor, interrupt func() bool
 	}
 	key := candKey{prepTrials: opt.PrepTrials, seed: opt.Seed, anchor: anchor}
 	cands, part, err := s.prepared(key, func() (*core.Candidates, *Result, error) {
-		return core.PrepareOLS(s.g, anchor, prepOpt)
+		return core.PrepareOLS(s.g, prepOpt)
 	})
 	if err != nil {
 		return nil, err
@@ -309,7 +305,7 @@ func (s *Searcher) prepared(key candKey, prep func() (*core.Candidates, *Result,
 // phase for (prepTrials, seed) finds, materializing (and caching) it.
 func (s *Searcher) CandidateCount(prepTrials int, seed uint64) (int, error) {
 	cands, _, err := s.prepared(candKey{prepTrials: prepTrials, seed: seed}, func() (*core.Candidates, *Result, error) {
-		return core.PrepareOLS(s.g, core.Anchor{}, core.OLSOptions{PrepTrials: prepTrials, Seed: seed})
+		return core.PrepareOLS(s.g, core.OLSOptions{PrepTrials: prepTrials, Seed: seed})
 	})
 	if err != nil {
 		return 0, err
