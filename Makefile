@@ -46,10 +46,12 @@ bench-compare:
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Brief fuzzing sessions over both graph parsers.
+# Brief fuzzing sessions over both graph parsers, and the text parser
+# against its frozen string-based reference.
 fuzz:
 	$(GO) test ./internal/bigraph/ -run '^FuzzRead$$' -fuzz '^FuzzRead$$' -fuzztime=30s
 	$(GO) test ./internal/bigraph/ -run '^FuzzReadBinary$$' -fuzz '^FuzzReadBinary$$' -fuzztime=30s
+	$(GO) test ./internal/bigraph/ -run '^FuzzReadMatchesReference$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime=30s
 
 vet:
 	$(GO) vet ./...

@@ -82,17 +82,8 @@ func pairKey(u, v VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
 // It returns an error if either endpoint is out of range, p is outside
 // [0, 1], w is NaN or infinite, or the pair (u, v) was already added.
 func (b *Builder) AddEdge(u, v VertexID, w, p float64) error {
-	if int(u) >= b.numL {
-		return fmt.Errorf("bigraph: left vertex %d out of range [0,%d)", u, b.numL)
-	}
-	if int(v) >= b.numR {
-		return fmt.Errorf("bigraph: right vertex %d out of range [0,%d)", v, b.numR)
-	}
-	if math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("bigraph: edge (%d,%d) has non-finite weight %v", u, v, w)
-	}
-	if math.IsNaN(p) || p < 0 || p > 1 {
-		return fmt.Errorf("bigraph: edge (%d,%d) has probability %v outside [0,1]", u, v, p)
+	if err := checkEdge(b.numL, b.numR, u, v, w, p); err != nil {
+		return err
 	}
 	k := pairKey(u, v)
 	if _, dup := b.seen[k]; dup {
@@ -100,6 +91,26 @@ func (b *Builder) AddEdge(u, v VertexID, w, p float64) error {
 	}
 	b.seen[k] = struct{}{}
 	b.edges = append(b.edges, Edge{U: u, V: v, W: w, P: p})
+	return nil
+}
+
+// checkEdge applies the per-edge checks every constructor shares: both
+// endpoints in range, a finite weight and a probability in [0, 1].
+// Duplicate pairs are caught by the Builder's map or, for bulk loads, by
+// newGraph.
+func checkEdge(numL, numR int, u, v VertexID, w, p float64) error {
+	if int(u) >= numL {
+		return fmt.Errorf("bigraph: left vertex %d out of range [0,%d)", u, numL)
+	}
+	if int(v) >= numR {
+		return fmt.Errorf("bigraph: right vertex %d out of range [0,%d)", v, numR)
+	}
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("bigraph: edge (%d,%d) has non-finite weight %v", u, v, w)
+	}
+	if math.IsNaN(p) || p < 0 || p > 1 {
+		return fmt.Errorf("bigraph: edge (%d,%d) has probability %v outside [0,1]", u, v, p)
+	}
 	return nil
 }
 
@@ -119,29 +130,37 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 func (b *Builder) Build() *Graph {
 	edges := make([]Edge, len(b.edges))
 	copy(edges, b.edges)
-	return newGraph(b.numL, b.numR, edges)
+	g, _ := newGraph(b.numL, b.numR, edges) // AddEdge already refused duplicates
+	return g
 }
 
 // FromEdges constructs a graph directly from an edge slice, applying the
 // same validation as Builder.AddEdge. The slice is copied.
 func FromEdges(numL, numR int, edges []Edge) (*Graph, error) {
-	b := NewBuilder(numL, numR)
 	for _, e := range edges {
-		if err := b.AddEdge(e.U, e.V, e.W, e.P); err != nil {
+		if err := checkEdge(numL, numR, e.U, e.V, e.W, e.P); err != nil {
 			return nil, err
 		}
 	}
-	return b.Build(), nil
+	return newGraph(numL, numR, append(make([]Edge, 0, len(edges)), edges...))
 }
 
-// newGraph builds the CSR indexes. edges is owned by the new Graph.
-func newGraph(numL, numR int, edges []Edge) *Graph {
+// newGraph builds the CSR indexes; edges is owned by the new Graph and
+// must already pass checkEdge. Both sides come out of counting-sort
+// scatters, so every adjacency row is sorted by opposite endpoint (FindEdge
+// binary-searches it, and iteration order does not depend on insertion
+// order) without a comparison sort. A duplicate pair lands next to its
+// twin in its left row; newGraph rejects it there, naming the pair whose
+// second copy comes first in edges, so no dedup map is needed.
+func newGraph(numL, numR int, edges []Edge) (*Graph, error) {
 	g := &Graph{
 		numL:  numL,
 		numR:  numR,
 		edges: edges,
 		lOff:  make([]int32, numL+1),
 		rOff:  make([]int32, numR+1),
+		lAdj:  make([]Half, len(edges)),
+		rAdj:  make([]Half, len(edges)),
 	}
 	for _, e := range edges {
 		g.lOff[e.U+1]++
@@ -153,30 +172,56 @@ func newGraph(numL, numR int, edges []Edge) *Graph {
 	for i := 0; i < numR; i++ {
 		g.rOff[i+1] += g.rOff[i]
 	}
-	g.lAdj = make([]Half, len(edges))
-	g.rAdj = make([]Half, len(edges))
 	lNext := make([]int32, numL)
 	rNext := make([]int32, numR)
-	copy(lNext, g.lOff[:numL])
+	// Pass 1 groups the edges by right endpoint in id order (rAdj is
+	// scratch here). Pass 2 walks those groups in right-vertex order, so
+	// each left row fills in ascending V, ties by ascending id.
 	copy(rNext, g.rOff[:numR])
 	for id, e := range edges {
-		g.lAdj[lNext[e.U]] = Half{To: e.V, E: EdgeID(id)}
-		lNext[e.U]++
 		g.rAdj[rNext[e.V]] = Half{To: e.U, E: EdgeID(id)}
 		rNext[e.V]++
 	}
-	// Sort each adjacency row by opposite endpoint so FindEdge can binary
-	// search and iteration order is deterministic regardless of insertion
-	// order.
-	for u := 0; u < numL; u++ {
-		row := g.lAdj[g.lOff[u]:g.lOff[u+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
-	}
+	copy(lNext, g.lOff[:numL])
 	for v := 0; v < numR; v++ {
-		row := g.rAdj[g.rOff[v]:g.rOff[v+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a].To < row[b].To })
+		for _, h := range g.rAdj[g.rOff[v]:g.rOff[v+1]] {
+			g.lAdj[lNext[h.To]] = Half{To: VertexID(v), E: h.E}
+			lNext[h.To]++
+		}
 	}
-	return g
+	if err := g.duplicateError(); err != nil {
+		return nil, err
+	}
+	// Pass 3 walks the sorted left rows in left-vertex order, so each
+	// right row fills in ascending U.
+	copy(rNext, g.rOff[:numR])
+	for u := 0; u < numL; u++ {
+		for _, h := range g.lAdj[g.lOff[u]:g.lOff[u+1]] {
+			g.rAdj[rNext[h.To]] = Half{To: VertexID(u), E: h.E}
+			rNext[h.To]++
+		}
+	}
+	return g, nil
+}
+
+// duplicateError reports the duplicate pair whose second copy has the
+// smallest edge id — the one an edge-by-edge dedup would have met first —
+// or nil. The left rows must be sorted with ties by ascending id.
+func (g *Graph) duplicateError() error {
+	first, second := EdgeID(0), EdgeID(math.MaxUint32) // no id reaches MaxUint32: offsets are int32
+	for u := 0; u < g.numL; u++ {
+		row := g.lAdj[g.lOff[u]:g.lOff[u+1]]
+		for i := 1; i < len(row); i++ {
+			if row[i].To == row[i-1].To && row[i].E < second {
+				first, second = row[i-1].E, row[i].E
+			}
+		}
+	}
+	if second == math.MaxUint32 {
+		return nil
+	}
+	e := g.edges[second]
+	return fmt.Errorf("bigraph: duplicate edge (%d,%d): edges %d and %d", e.U, e.V, first, second)
 }
 
 // FindEdge returns the id of the edge (u, v) if it exists in the backbone
@@ -288,18 +333,79 @@ func (g *Graph) ExpectedSquaredDegreeR(v VertexID) float64 {
 // ties by ascending id so the order is deterministic. This is the edge
 // ordering of Algorithm 2 line 1.
 func (g *Graph) EdgesByWeightDesc() []EdgeID {
-	ids := make([]EdgeID, len(g.edges))
-	for i := range ids {
-		ids[i] = EdgeID(i)
+	n := len(g.edges)
+	order, _ := SortByWeightDesc(g, make([]EdgeID, n), make([]EdgeID, n), make([]uint64, n), make([]uint64, n))
+	return order
+}
+
+// SortByWeightDesc computes the EdgesByWeightDesc order in caller-owned
+// storage, so a caller that needs arrays of the same shapes afterwards
+// can reuse the sort's scratch for them. ids, spare, keys and spareKeys
+// must each have length g.NumEdges(); all four are overwritten. It
+// returns the order, which is ids or spare, and the other one as free.
+//
+// The sort is a stable least-significant-digit radix sort on 11-bit
+// digits (six passes; 8-bit digits need eight, and 16-bit ones scatter
+// into too many buckets at once to pay) of a 64-bit key per edge that
+// orders like descending weight: the weight's IEEE bits as they are for
+// negative weights, and with every bit but the sign bit flipped
+// otherwise. −0 is folded into +0 first because the comparator treats
+// them as equal, and stability over the initial ascending ids breaks ties
+// by ascending id. Keys are taken relative to the smallest, and a digit
+// every key shares splits nothing, so its pass is skipped: weights within
+// a narrow range skip the top digits, and half-step rating weights share
+// all but two.
+func SortByWeightDesc(g *Graph, ids, spare []EdgeID, keys, spareKeys []uint64) (order, free []EdgeID) {
+	const (
+		digitBits = 11
+		passes    = (64 + digitBits - 1) / digitBits
+		mask      = 1<<digitBits - 1
+	)
+	n := len(g.edges)
+	if n == 0 {
+		return ids, spare
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		wa, wb := g.edges[ids[a]].W, g.edges[ids[b]].W
-		if wa != wb {
-			return wa > wb
+	minKey := uint64(math.MaxUint64)
+	for i, e := range g.edges {
+		b := math.Float64bits(e.W)
+		if e.W == 0 {
+			b = 0
 		}
-		return ids[a] < ids[b]
-	})
-	return ids
+		if b>>63 == 0 {
+			b = ^b &^ (1 << 63)
+		}
+		keys[i] = b
+		ids[i] = EdgeID(i)
+		minKey = min(minKey, b)
+	}
+	var hist [passes][1 << digitBits]int32
+	for i, k := range keys {
+		k -= minKey
+		keys[i] = k
+		for d := range hist {
+			hist[d][k>>(digitBits*d)&mask]++
+		}
+	}
+	for d := range hist {
+		shift := digitBits * d
+		h := &hist[d]
+		if int(h[keys[0]>>shift&mask]) == n {
+			continue
+		}
+		var sum int32
+		for c := range h {
+			h[c], sum = sum, sum+h[c]
+		}
+		for i, k := range keys {
+			j := h[k>>shift&mask]
+			h[k>>shift&mask]++
+			spareKeys[j] = k
+			spare[j] = ids[i]
+		}
+		keys, spareKeys = spareKeys, keys
+		ids, spare = spare, ids
+	}
+	return ids, spare
 }
 
 // TopWeightSum returns the sum of the k largest edge weights, or the sum

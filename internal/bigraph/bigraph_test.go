@@ -1,8 +1,13 @@
 package bigraph
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +263,97 @@ func TestFromEdges(t *testing.T) {
 	}
 	if _, err := FromEdges(1, 1, []Edge{{U: 5, V: 0, W: 1, P: 0.5}}); err == nil {
 		t.Fatal("FromEdges accepted an out-of-range edge")
+	}
+}
+
+// TestEdgesByWeightDescMatchesComparator checks the radix order against
+// the closure comparator it replaced (readref_test.go) on negative
+// weights, ±0, heavy ties and the empty graph.
+func TestEdgesByWeightDescMatchesComparator(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		numL, numR := 1+r.Intn(12), 1+r.Intn(12)
+		b := NewBuilder(numL, numR)
+		for i := 0; i < r.Intn(numL*numR+1); i++ {
+			var w float64
+			switch r.Intn(5) {
+			case 0:
+				w = math.Floor(r.Float64()*10) / 2 // ratings-style half-steps
+			case 1:
+				w = -math.Floor(r.Float64()*10) / 2
+			case 2:
+				w = math.Copysign(0, float64(r.Intn(2)*2-1)) // ±0
+			case 3:
+				w = r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
+			default:
+				w = []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+					-math.SmallestNonzeroFloat64}[r.Intn(4)]
+			}
+			_ = b.AddEdge(VertexID(r.Intn(numL)), VertexID(r.Intn(numR)), w, r.Float64())
+		}
+		g := b.Build()
+		return reflect.DeepEqual(g.EdgesByWeightDesc(), edgesByWeightDescReference(g))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if got := NewBuilder(3, 3).Build().EdgesByWeightDesc(); len(got) != 0 {
+		t.Fatalf("empty graph order = %v", got)
+	}
+}
+
+// TestNewGraphMatchesSortedCSR checks the counting-sort CSR build against
+// the per-row sort build it replaced, on edges in random insertion order.
+func TestNewGraphMatchesSortedCSR(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		numL, numR := r.Intn(15), r.Intn(15)
+		var edges []Edge
+		for _, k := range r.Perm(numL * numR) {
+			if r.Intn(3) == 0 {
+				edges = append(edges, Edge{U: VertexID(k / numR), V: VertexID(k % numR), W: r.Float64(), P: r.Float64()})
+			}
+		}
+		g, err := FromEdges(numL, numR, edges)
+		if err != nil {
+			return false
+		}
+		return reflect.DeepEqual(g, newGraphReference(numL, numR, append(make([]Edge, 0, len(edges)), edges...)))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkLoadErrorsNameThePair: the loaders that skip the Builder must
+// still reject duplicates and invalid edges with the offending pair in
+// the message — for duplicates, the pair an edge-by-edge check meets
+// first.
+func TestBulkLoadErrorsNameThePair(t *testing.T) {
+	edges := []Edge{{0, 1, 1, 0.5}, {2, 0, 1, 0.5}, {1, 1, 1, 0.5}, {2, 0, 2, 0.5}, {0, 1, 3, 0.5}}
+	_, err := FromEdges(3, 2, edges)
+	if err == nil || !strings.Contains(err.Error(), "duplicate edge (2,0): edges 1 and 3") {
+		t.Fatalf("FromEdges duplicate error = %v", err)
+	}
+	in := "mpmb-bigraph 3 2 5\n0 1 1 0.5\n2 0 1 0.5\n1 1 1 0.5\n2 0 2 0.5\n0 1 3 0.5\n"
+	if _, err := Read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "duplicate edge (2,0)") {
+		t.Fatalf("Read duplicate error = %v", err)
+	}
+	g := buildFigure1(t)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	copy(data[8+16+edgeRecordSize:], data[8+16:8+16+8]) // edge 1 := edge 0's pair
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "(0,0)") {
+		t.Fatalf("ReadBinary duplicate error = %v", err)
+	}
+	if _, err := FromEdges(2, 2, []Edge{{0, 0, 1, 0.5}, {1, 1, 1, 1.5}}); err == nil || !strings.Contains(err.Error(), "edge (1,1)") {
+		t.Fatalf("FromEdges probability error = %v", err)
+	}
+	if _, err := Read(strings.NewReader("mpmb-bigraph 2 2 1\n1 1 NaN 0.5\n")); err == nil || !strings.Contains(err.Error(), "edge (1,1)") {
+		t.Fatalf("Read weight error = %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package bigraph
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -120,5 +121,26 @@ func TestSaveBinaryBadPath(t *testing.T) {
 	g := buildFigure1(t)
 	if err := SaveBinary(filepath.Join(t.TempDir(), "no", "dir", "x.bgraph"), g); err == nil {
 		t.Fatal("SaveBinary succeeded on an invalid path")
+	}
+}
+
+// TestChecksumMatchesEncoding pins the staged checksum to the CRC of the
+// written file's payload, on graphs whose payload spans several staging
+// chunks.
+func TestChecksumMatchesEncoding(t *testing.T) {
+	for _, n := range []int{0, 1, 2730, 2731, 6000} {
+		b := NewBuilder(n+1, 2)
+		for i := 0; i < n; i++ {
+			b.MustAddEdge(VertexID(i), VertexID(i%2), float64(i)/7, 0.5)
+		}
+		g := b.Build()
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		if got, want := g.Checksum(), crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
+			t.Fatalf("%d edges: Checksum %08x, payload CRC %08x", n, got, want)
+		}
 	}
 }

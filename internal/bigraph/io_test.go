@@ -137,3 +137,38 @@ func TestSaveFailsOnBadPath(t *testing.T) {
 		t.Fatal("unexpected file created")
 	}
 }
+
+// TestLoadSizesEdgesFromTheFile: Load trusts a header's edge count for
+// an exact preallocation only when the file is large enough to hold that
+// many edge lines; either way a count that disagrees with the file is
+// rejected.
+func TestLoadSizesEdgesFromTheFile(t *testing.T) {
+	dir := t.TempDir()
+	for name, in := range map[string]string{
+		"count fits the file":       "mpmb-bigraph 4 4 3\n0 0 1 0.5\n",
+		"count exceeds the file":    "mpmb-bigraph 4000 4000 1000000\n0 0 1 0.5\n",
+		"more lines than the count": "mpmb-bigraph 4 4 1\n0 0 1 0.5\n1 1 1 0.5\n",
+	} {
+		path := filepath.Join(dir, "g.graph")
+		if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s: Load accepted %q", name, in)
+		}
+	}
+	g := buildFigure1(t)
+	for _, save := range []func(string, *Graph) error{Save, SaveBinary} {
+		path := filepath.Join(dir, "fig1")
+		if err := save(path, g); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumEdges() != g.NumEdges() || cap(got.Edges()) != g.NumEdges() {
+			t.Fatalf("loaded %d edges with capacity %d, want %d exactly", got.NumEdges(), cap(got.Edges()), g.NumEdges())
+		}
+	}
+}

@@ -39,7 +39,7 @@ func (g *Graph) InducedSubgraph(keepL, keepR []VertexID) (*Graph, error) {
 			edges = append(edges, Edge{U: nu, V: nv, W: e.W, P: e.P})
 		}
 	}
-	return newGraph(len(keepL), len(keepR), edges), nil
+	return newGraph(len(keepL), len(keepR), edges)
 }
 
 // VertexSample returns the subgraph induced by a uniformly random fraction

@@ -6,6 +6,7 @@ import (
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
+	"github.com/uncertain-graphs/mpmb/internal/dataset"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
 
@@ -118,5 +119,23 @@ func BenchmarkAngleTableResetAndFill(b *testing.B) {
 				tab.put(key, int32(k))
 			}
 		}
+	}
+}
+
+// BenchmarkSnapshotBuild times the cold snapshot build a first query on
+// a graph pays — radix weight order, support bits, kernel tables and the
+// calibration trials — on a skewed 100k-edge graph shaped like the
+// 400k-edge cold end-to-end workload.
+func BenchmarkSnapshotBuild(b *testing.B) {
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		Seed: 1, NumL: 5000, NumR: 500, NumEdges: 100000, DegreeSkew: 1.0,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newEdgeSnapshot(d.G).calibrate(d.G)
 	}
 }

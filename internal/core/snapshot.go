@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -53,7 +52,7 @@ const calibrationSalt = 0x5ca1ab1e0ddba11d
 // Since PR 9 the snapshot is immutable after snapshotFor returns and is
 // shared by every kernel over the same graph (see snapshotFor): it
 // additionally precomputes the batched-RNG draw schedule (admitTh,
-// wordOf, ndraws), the per-edge butterfly support counts and the
+// wordOf, ndraws), which folds in each edge's butterfly-support bit, the
 // support-sharpened prune budgets (wBarS, wBar2S), and the calibrated
 // truncated-prefix boundary (prefixLen).
 type edgeSnapshot struct {
@@ -89,21 +88,14 @@ type edgeSnapshot struct {
 	// angle.
 	tok []uint64
 
-	// support is the exact number of backbone butterflies (4-cycles)
-	// containing each snapshot position's edge, computed once at build in
-	// the wing-decomposition style (per-edge support via wedge counts from
-	// the cheaper side; cf. ParButterfly's wing ordering). An edge with
-	// support 0 lies on no backbone butterfly, so no possible world can
-	// materialize a butterfly through it: the kernel never admits it
-	// (admitTh 0), though the edge still consumes its Bernoulli draw so
-	// the word schedule of every later edge is unchanged. Counts saturate
-	// at MaxInt32; only >0 matters to the kernel.
-	support []int32
-
 	// admitTh is the batched-admission threshold of each position,
 	// normalized into [0, 2^53] so one branch-free comparison per edge
 	// decides admission: a position is admitted iff word>>11 < admitTh.
-	// p <= 0 and support-0 edges map to 0 (word>>11 < 0 is never true),
+	// An edge on no backbone butterfly (supportBits leaves its bit clear)
+	// can complete a butterfly in no possible world, so the kernel never
+	// admits it, though it still consumes its Bernoulli draw so the word
+	// schedule of every later edge is unchanged.
+	// p <= 0 and unsupported edges map to 0 (word>>11 < 0 is never true),
 	// p >= 1 maps to 2^53 (word>>11 <= 2^53-1 < 2^53 is always true),
 	// and p in (0, 1) keeps its BernoulliThreshold in [1, 2^53].
 	admitTh []uint64
@@ -164,14 +156,19 @@ type liveEdge struct {
 }
 
 func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
-	sorted := g.EdgesByWeightDesc()
-	n := len(sorted)
+	// The weight sort's scratch arrays have the shapes of four snapshot
+	// arrays, so they become them: the spare id buffer turns into prt and
+	// the two key buffers into pc and thresh, all overwritten below.
+	n := g.NumEdges()
+	pc, thresh := make([]uint64, n), make([]uint64, n)
+	sorted, prt := bigraph.SortByWeightDesc(g, make([]bigraph.EdgeID, n), make([]bigraph.EdgeID, n), pc, thresh)
 	s := &edgeSnapshot{
 		w:      make([]float64, n),
-		prt:    make([]bigraph.VertexID, n),
+		prt:    prt,
 		ctr:    make([]bigraph.VertexID, n),
-		id:     make([]bigraph.EdgeID, n),
-		thresh: make([]uint64, n),
+		pc:     pc,
+		id:     sorted,
+		thresh: thresh,
 		wBar:   g.TopWeightSum(3),
 	}
 	// Side selection: center the live middle lists on the side with the
@@ -187,7 +184,6 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 		workR += d * d
 	}
 	s.flip = workL < workR
-	s.pc = make([]uint64, n)
 	for i, eid := range sorted {
 		e := g.Edge(eid)
 		s.w[i] = e.W
@@ -197,7 +193,6 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 			s.prt[i], s.ctr[i] = e.U, e.V
 		}
 		s.pc[i] = uint64(s.prt[i])<<32 | uint64(s.ctr[i])
-		s.id[i] = eid
 		s.thresh[i] = randx.BernoulliThreshold(e.P)
 	}
 	numCtr, numPrt := g.NumR(), g.NumL()
@@ -223,8 +218,8 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	// Per-edge butterfly support, then the support-dependent kernel
 	// tables: normalized admission thresholds, the block draw schedule,
 	// and the sharpened prune budgets.
-	sup := edgeSupport(g)
-	s.support = make([]int32, n)
+	onButterfly, _ := supportBits(g)
+	supported := func(i int) bool { return onButterfly[s.id[i]>>6]&(1<<(s.id[i]&63)) != 0 }
 	s.admitTh = make([]uint64, n)
 	s.wordOf = make([]uint8, n)
 	s.ndraws = make([]uint8, (n+rngBlock-1)/rngBlock)
@@ -239,10 +234,8 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 			draws++
 		}
 		s.ndraws[i>>rngBlockShift] = draws
-		supI := sup[s.id[i]]
-		s.support[i] = supI
 		switch {
-		case supI == 0 || th == randx.BernoulliNever:
+		case !supported(i) || th == randx.BernoulliNever:
 			s.admitTh[i] = 0
 		case th == randx.BernoulliAlways:
 			s.admitTh[i] = 1 << 53
@@ -256,7 +249,7 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 	var top [3]float64
 	found := 0
 	for i := 0; i < n && found < 3; i++ {
-		if s.support[i] > 0 {
+		if supported(i) {
 			top[found] = s.w[i]
 			found++
 		}
@@ -271,20 +264,30 @@ func newEdgeSnapshot(g *bigraph.Graph) *edgeSnapshot {
 // numEdges returns the snapshot length.
 func (s *edgeSnapshot) numEdges() int { return len(s.id) }
 
-// edgeSupport counts, for every backbone edge, the backbone butterflies
-// (4-cycles) containing it. The count is exact; values saturate at
-// MaxInt32.
+// supportBits marks, in a bitset indexed by edge id, every backbone edge
+// that lies on at least one backbone butterfly (4-cycle). The kernel only
+// needs that bit, so the search stops at one witness per edge instead of
+// counting butterflies.
 //
-// The algorithm is the wedge-counting discipline of wing decomposition
-// (ParButterfly): fix a center vertex u on one side; one pass over the
-// neighborhoods of N(u) tallies cnt[u'] = |N(u) ∩ N(u')| for every
-// same-side vertex u'; a second pass then charges each edge (u, v) with
-// Σ_{u' ∈ N(v), u' ≠ u} (cnt[u'] − 1) — the number of butterflies
-// {u, u', v, v'} through (u, v). Total work is Σ over the opposite
-// side's degrees squared, so the center side is chosen to minimize it
-// (the same side-selection rule wing decomposition uses).
-func edgeSupport(g *bigraph.Graph) []int32 {
-	sup := make([]int32, g.NumEdges())
+// Centers are the vertices of one side, chosen as wing decomposition
+// does: the side whose neighbours (the middle side) have the smaller
+// Σ d², so the wedge walks below cost at most that sum. For a center u,
+// every middle neighbour v' ∈ N(u) is stamped with u and the edge (u, v').
+// An edge (u, v) is then settled by walking the two-hop neighbours
+// u' ∈ N(v) \ {u} and their rows N(u') until a stamped v' ≠ v closes the
+// wedge: {u, u'} × {v, v'} is a butterfly, and all four of its edges get
+// their bit, so later centers skip theirs. On graphs rich in butterflies
+// this settles an edge within a few steps: on the 400k-edge skewed graph
+// of the cold benchmark, under one row entry per edge on average.
+//
+// A center's probe may read at most W(u) = Σ_{v ∈ N(u)} deg(v) entries
+// of two-hop rows N(u'), its share of the middle side's Σ d². Past that
+// it falls back to the exact wedge tally for u: count |N(u) ∩ N(u')| for
+// every two-hop u', and mark (u, v) iff some u' ∈ N(v) \ {u} shares two
+// middles with u. The tally reads at most 2·W(u) middle-row entries, so
+// the whole search costs at most 3·Σ d² even on a butterfly-free graph.
+// steps reports the probes' two-hop entries plus the tallies' entries.
+func supportBits(g *bigraph.Graph) (bits []uint64, steps int) {
 	var sumL2, sumR2 int64
 	for u := 0; u < g.NumL(); u++ {
 		d := int64(g.DegreeL(bigraph.VertexID(u)))
@@ -294,72 +297,108 @@ func edgeSupport(g *bigraph.Graph) []int32 {
 		d := int64(g.DegreeR(bigraph.VertexID(v)))
 		sumR2 += d * d
 	}
-	if sumR2 <= sumL2 {
-		// Left centers: inner loops walk right neighborhoods (cost Σ_R d²).
-		cnt := make([]int32, g.NumL())
-		for u := 0; u < g.NumL(); u++ {
-			uid := bigraph.VertexID(u)
-			for _, h := range g.NeighborsL(uid) {
-				for _, h2 := range g.NeighborsR(h.To) {
-					if h2.To != uid {
-						cnt[h2.To]++
-					}
-				}
-			}
-			for _, h := range g.NeighborsL(uid) {
-				var c int64
-				for _, h2 := range g.NeighborsR(h.To) {
-					if h2.To == uid {
-						continue
-					}
-					c += int64(cnt[h2.To] - 1)
-				}
-				sup[h.E] = satInt32(c)
-			}
-			for _, h := range g.NeighborsL(uid) {
-				for _, h2 := range g.NeighborsR(h.To) {
-					cnt[h2.To] = 0
-				}
-			}
-		}
-		return sup
+	w := witnessSearch{
+		bits:   make([]uint64, (g.NumEdges()+63)/64),
+		center: g.NeighborsL,
+		middle: g.NeighborsR,
 	}
-	// Right centers: symmetric, inner loops walk left neighborhoods
-	// (cost Σ_L d²).
-	cnt := make([]int32, g.NumR())
-	for v := 0; v < g.NumR(); v++ {
-		vid := bigraph.VertexID(v)
-		for _, h := range g.NeighborsR(vid) {
-			for _, h2 := range g.NeighborsL(h.To) {
-				if h2.To != vid {
-					cnt[h2.To]++
-				}
-			}
-		}
-		for _, h := range g.NeighborsR(vid) {
-			var c int64
-			for _, h2 := range g.NeighborsL(h.To) {
-				if h2.To == vid {
-					continue
-				}
-				c += int64(cnt[h2.To] - 1)
-			}
-			sup[h.E] = satInt32(c)
-		}
-		for _, h := range g.NeighborsR(vid) {
-			for _, h2 := range g.NeighborsL(h.To) {
-				cnt[h2.To] = 0
-			}
-		}
+	numCenter, numMiddle := g.NumL(), g.NumR()
+	if sumR2 > sumL2 {
+		w.center, w.middle = g.NeighborsR, g.NeighborsL
+		numCenter, numMiddle = numMiddle, numCenter
 	}
-	return sup
+	w.stamp = make([]uint64, numMiddle)
+	w.tally = make([]uint64, numCenter)
+	for u := 0; u < numCenter; u++ {
+		w.search(bigraph.VertexID(u))
+	}
+	return w.bits, w.steps
 }
 
-func satInt32(v int64) int32 {
-	if v > math.MaxInt32 {
-		return math.MaxInt32
+// witnessSearch is the state of supportBits. Both stamp and tally entries
+// carry tag(u) = (u+1)<<32 in their high half, so a new center
+// invalidates the previous one's entries without clearing them: stamp
+// holds tag | id of the edge (u, v') for v' ∈ N(u), tally holds tag | the
+// wedge count of a two-hop vertex. Centers run in ascending order, so an
+// entry left by an earlier center compares below the current tag.
+type witnessSearch struct {
+	bits           []uint64
+	center, middle func(bigraph.VertexID) []bigraph.Half
+	stamp, tally   []uint64
+	steps          int
+}
+
+func (w *witnessSearch) has(e bigraph.EdgeID) bool { return w.bits[e>>6]&(1<<(e&63)) != 0 }
+func (w *witnessSearch) set(e bigraph.EdgeID)      { w.bits[e>>6] |= 1 << (e & 63) }
+
+func (w *witnessSearch) search(u bigraph.VertexID) {
+	row := w.center(u)
+	if len(row) < 2 {
+		return // a butterfly needs two edges at each of its vertices
 	}
-	return int32(v)
+	tag := (uint64(u) + 1) << 32
+	budget := 0
+	for _, h := range row {
+		w.stamp[h.To] = tag | uint64(h.E)
+		budget += len(w.middle(h.To))
+	}
+	spent := 0
+edges:
+	for _, h := range row {
+		if w.has(h.E) {
+			continue
+		}
+		for _, h2 := range w.middle(h.To) {
+			if h2.To == u {
+				continue
+			}
+			for _, h3 := range w.center(h2.To) {
+				if spent == budget {
+					w.steps += spent
+					w.tallySearch(u, row, tag)
+					return
+				}
+				spent++
+				if s := w.stamp[h3.To]; s>>32 == tag>>32 && h3.To != h.To {
+					w.set(h.E)
+					w.set(h2.E)
+					w.set(h3.E)
+					w.set(bigraph.EdgeID(s))
+					continue edges
+				}
+			}
+		}
+	}
+	w.steps += spent
+}
+
+// tallySearch is the exact fallback of search: a wedge tally over u's
+// two-hop neighbours, then one early-exit check per unsettled edge.
+func (w *witnessSearch) tallySearch(u bigraph.VertexID, row []bigraph.Half, tag uint64) {
+	for _, h := range row {
+		mid := w.middle(h.To)
+		w.steps += len(mid)
+		for _, h2 := range mid {
+			if c := w.tally[h2.To]; c>>32 == tag>>32 {
+				w.tally[h2.To] = c + 1
+			} else {
+				w.tally[h2.To] = tag | 1
+			}
+		}
+	}
+	for _, h := range row {
+		if w.has(h.E) {
+			continue
+		}
+		for _, h2 := range w.middle(h.To) {
+			w.steps++
+			// tally[u] itself is deg(u) ≥ 2, so skip the center.
+			if h2.To != u && w.tally[h2.To] >= tag|2 {
+				w.set(h.E)
+				break
+			}
+		}
+	}
 }
 
 // calibrate places the truncated-prefix boundary by running
