@@ -100,7 +100,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		mu       = fs.Float64("mu", 0.05, "Equation 8 target probability (ols-kl)")
 		disjoint = fs.Bool("disjoint", false, "report vertex-disjoint butterflies (scattered view)")
 		stats    = fs.Bool("stats", false, "also print butterfly-count statistics")
-		workers  = fs.Int("workers", 0, "parallel workers for os/ols/ols-kl (0 = sequential)")
+		workers  = fs.Int("workers", 0, "in-process trial workers for os/ols/ols-kl (0 or 1 = one worker inline, N > 1 = a pool of N)")
 		timeout  = fs.Duration("timeout", 0, "stop after this long and report partial results (0 = no limit)")
 		ckpt     = fs.String("checkpoint", "", "write a cancelled run's resumable state to this file")
 		resume   = fs.String("resume", "", "resume a cancelled run from this checkpoint file")

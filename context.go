@@ -6,10 +6,11 @@ import (
 	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
-// ErrWorkerPanic is wrapped by the error a parallel search (Options.Workers
-// > 0) returns when a worker goroutine panics: the panic is recovered, the
-// sibling workers are cancelled, and the panic value is reported through
-// errors.Is(err, ErrWorkerPanic) instead of crashing the process.
+// ErrWorkerPanic is wrapped by the error an os, ols or ols-kl search
+// returns when a trial worker panics, at any worker count: the panic is
+// recovered, the sibling workers are cancelled, and the panic value is
+// reported through errors.Is(err, ErrWorkerPanic) instead of crashing the
+// process.
 var ErrWorkerPanic = core.ErrWorkerPanic
 
 // Checkpoint is the resumable accumulator state of a cancelled search,
@@ -50,14 +51,14 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 //
 // Cancellation is reported through the Result, not the error: the error
 // is non-nil only for invalid options or an internal failure (e.g. a
-// worker panic when Options.Workers > 0). A ctx that is already cancelled
+// worker panic). A ctx that is already cancelled
 // on entry yields an empty partial Result with TrialsDone == 0.
 func SearchContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	return NewSearcher(g).SearchContext(ctx, opt)
 }
 
 // ctxHook adapts a context to the core Interrupt polling hook. The hook
-// is safe for concurrent use, as the parallel runners require.
+// is safe for concurrent use, as multi-worker runs require.
 func ctxHook(ctx context.Context) func() bool {
 	if ctx == nil {
 		return nil

@@ -126,6 +126,9 @@ type PerfEntry struct {
 	PrefixFallbacksPerTrial float64 `json:"prefix_fallbacks_per_trial,omitempty"`
 	// TrialsTimed is how many trials the benchmark runtime settled on.
 	TrialsTimed int `json:"trials_timed"`
+	// Workers is the in-process worker count of a pooled row
+	// (os_parallel); absent for single-worker rows.
+	Workers int `json:"workers,omitempty"`
 }
 
 // PerfReport is the BENCH_core.json document.
@@ -246,31 +249,32 @@ func RunPerfCorpusAnchor(corpus PerfCorpus, rounds int, anchor *core.Anchor) (*P
 	rep.Entries = append(rep.Entries, kernel)
 	rep.Entries = append(rep.Entries, entryFromResult("os_seed_baseline", seedRes, 1))
 
-	// os_parallel: the batched worker path, amortized per trial. A
+	// os_parallel: the batched worker path on a pinned pool of
+	// parWorkers, amortized per trial. The pool size is fixed (not the
+	// host's core count) so the row keeps its name and meaning on every
+	// host; on a host with fewer cores the workers share them. A
 	// registry-backed probe rides along so the row reports the same
-	// scanned/pruned/fallback split as the sequential kernel row — the
+	// scanned/pruned/fallback split as the single-worker kernel row — the
 	// workers' trial meters flush into it per chunk, and dividing the
 	// accumulated counters by the accumulated trial count amortizes over
 	// every benchmark iteration (the probe costs one predictable branch
 	// per trial, so it does not distort the timing).
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	const parTrials = 512
+	const parWorkers, parTrials = 2, 512
 	parReg := telemetry.NewRegistry()
 	parRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			opts := core.OSOptions{Trials: parTrials, Seed: 42,
-				Probe: &telemetry.Probe{Reg: parReg, Method: "os"}}
-			if _, err := core.OSParallel(g, opts, workers); err != nil {
+				Probe:    &telemetry.Probe{Reg: parReg, Method: "os"},
+				Executor: &core.LocalExecutor{Workers: parWorkers}}
+			if _, err := core.OS(g, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	par := entryFromResult(fmt.Sprintf("os_parallel_w%d", workers), parRes, parTrials)
+	par := entryFromResult("os_parallel", parRes, parTrials)
+	par.Workers = parWorkers
 	if pm := parReg.Snapshot(); pm.Trials > 0 {
 		par.EdgesScannedPerTrial = float64(pm.EdgesScanned) / float64(pm.Trials)
 		par.EdgesPrunedPerTrial = float64(pm.EdgesPruned) / float64(pm.Trials)

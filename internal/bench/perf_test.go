@@ -77,8 +77,11 @@ func TestRunPerfCorpus(t *testing.T) {
 	var haveParallel, haveOpt bool
 	for i := range rep.Entries {
 		e := &rep.Entries[i]
-		if strings.HasPrefix(e.Name, "os_parallel_w") {
+		if e.Name == "os_parallel" {
 			haveParallel = true
+			if e.Workers != 2 {
+				t.Fatalf("os_parallel row records %d workers, want the pinned 2", e.Workers)
+			}
 			// The probe-backed parallel row must report the same scan
 			// partition as the sequential kernel row.
 			if got := e.EdgesScannedPerTrial + e.EdgesPrunedPerTrial; got != float64(tinyPerfCorpus.NumEdges) {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
 )
@@ -80,7 +82,7 @@ func TestOSParallelLowAllocs(t *testing.T) {
 	g := randGraph(r, 40, 20, 300)
 	const trials, workers = 512, 2
 	run := func() {
-		if _, err := OSParallel(g, OSOptions{Trials: trials, Seed: 33}, workers); err != nil {
+		if _, err := osOnPool(g, OSOptions{Trials: trials, Seed: 33}, workers); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,6 +91,61 @@ func TestOSParallelLowAllocs(t *testing.T) {
 	if perTrial := allocs / trials; perTrial >= 1 {
 		t.Fatalf("parallel OS allocates %.0f per run of %d trials (%.2f per trial), want well under 1 per trial",
 			allocs, trials, perTrial)
+	}
+}
+
+// TestKernelFreeListSurvivesGC: a snapshot keeps its idle kernels across
+// garbage collections, so a repeat run over a cached snapshot allocates
+// the same whether or not collections ran in between. A GC-cleared pool
+// would rebuild the ~1MB kernel after every second cycle, and the
+// allocations per trial would measure GC timing instead of the kernel.
+func TestKernelFreeListSurvivesGC(t *testing.T) {
+	r := rand.New(rand.NewSource(97))
+	g := randGraph(r, 40, 20, 300)
+	run := func() {
+		if _, err := OS(g, OSOptions{Trials: 64, Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gc := func() {
+		runtime.GC()
+		runtime.GC()
+	}
+	run() // build and calibrate the snapshot; its kernels go idle
+	plain := testing.AllocsPerRun(5, run)
+	// The collections allocate a little on their own (runtime
+	// bookkeeping); only the run's share counts.
+	gcOnly := testing.AllocsPerRun(5, gc)
+	afterGC := testing.AllocsPerRun(5, func() {
+		gc()
+		run()
+	}) - gcOnly
+	if afterGC != plain {
+		t.Fatalf("a repeat OS run allocates %v times after two GC cycles, %v without", afterGC, plain)
+	}
+}
+
+// TestDisplacedSnapshotDropsKernels: only the most recently used graph
+// keeps idle kernels, so a graph no caller queries any more does not pin
+// its kernels' trial scratch for as long as its snapshot stays cached.
+func TestDisplacedSnapshotDropsKernels(t *testing.T) {
+	r := rand.New(rand.NewSource(101))
+	old, cur := randGraph(r, 20, 20, 150), randGraph(r, 20, 20, 150)
+	for _, g := range []*bigraph.Graph{old, cur} {
+		if _, err := OS(g, OSOptions{Trials: 8, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapCache.Lock()
+	defer snapCache.Unlock()
+	idle := map[*bigraph.Graph]int{}
+	for _, e := range snapCache.entries {
+		e.s.kernelMu.Lock()
+		idle[e.g] = len(e.s.kernels)
+		e.s.kernelMu.Unlock()
+	}
+	if idle[old] != 0 || idle[cur] == 0 {
+		t.Fatalf("idle kernels: displaced graph %d (want 0), current graph %d (want > 0)", idle[old], idle[cur])
 	}
 }
 

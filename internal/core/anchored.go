@@ -83,51 +83,15 @@ func (a Anchor) String() string {
 }
 
 // anchorPartner is the per-partner angle record of the anchored trial
-// scan, the anchor-restricted analogue of the OS kernel's angleEntry
-// (Table II): for a partner vertex p on the anchor's side it tracks the
-// best (w1) and second-best (w2) angle weight through the anchor, with
-// the middle vertices attaining each. For AnchorEdge queries only wA (the
+// scan, the anchor-restricted analogue of the OS kernel's angleEntry: for
+// a partner vertex p on the anchor's side its Table II classes track the
+// best (w1) and second-best (w2) angle weight through the anchor, with the
+// middle vertices attaining each. For AnchorEdge queries only wA (the
 // forced angle through the anchored middle) and the w1 class are used.
 type anchorPartner struct {
-	gen   uint32
-	wA    float64
-	w1    float64
-	mids1 []bigraph.VertexID
-	w2    float64
-	mids2 []bigraph.VertexID
-}
-
-// update folds one angle (anchor, mid, partner) of weight w into the
-// Table II classes: new maximum, tie with the maximum, new second, tie
-// with the second, or ignored.
-func (e *anchorPartner) update(w float64, mid bigraph.VertexID) {
-	switch {
-	case w > e.w1:
-		e.w2 = e.w1
-		e.mids2 = append(e.mids2[:0], e.mids1...)
-		e.w1 = w
-		e.mids1 = append(e.mids1[:0], mid)
-	case w == e.w1:
-		e.mids1 = append(e.mids1, mid)
-	case w > e.w2:
-		e.w2 = w
-		e.mids2 = append(e.mids2[:0], mid)
-	case w == e.w2:
-		e.mids2 = append(e.mids2, mid)
-	}
-}
-
-// bestWeight is the weight of the best butterfly through (anchor,
-// partner) formable from the recorded angles, or -Inf when fewer than two
-// angles exist.
-func (e *anchorPartner) bestWeight() float64 {
-	if len(e.mids1) >= 2 {
-		return 2 * e.w1
-	}
-	if len(e.mids1) == 1 && len(e.mids2) >= 1 {
-		return e.w1 + e.w2
-	}
-	return math.Inf(-1)
+	angleClasses
+	gen uint32
+	wA  float64
 }
 
 // anchoredIndex is the anchored trialKernel: instead of the global OS

@@ -159,12 +159,11 @@ func TestAnchoredOSParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := OSParallel(g, opt, 4)
+		par, err := osOnPool(g, opt, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.Executor = &LocalExecutor{Workers: 3}
-		exe, err := OSParallel(g, opt, 0)
+		exe, err := osOnPool(g, opt, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +195,7 @@ func TestAnchoredOLSMatchesCandidateOracle(t *testing.T) {
 			if kl {
 				opt.KL.Mu = 0.05
 			}
-			res, err := OLSParallel(g, opt, 2)
+			res, err := olsOnPool(g, opt, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +315,7 @@ func TestAnchoredCutResumes(t *testing.T) {
 		for cut := 0; cut <= 130; cut += 13 {
 			opt := osOpt
 			opt.Interrupt = pollBudget(cut)
-			part, err := OSParallel(g, opt, workers)
+			part, err := osOnPool(g, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +324,7 @@ func TestAnchoredCutResumes(t *testing.T) {
 					t.Fatalf("os w%d cut %d: checkpoint %+v does not record anchor %v", workers, cut, part.Checkpoint, a)
 				}
 				opt.Interrupt, opt.Resume = nil, part.Checkpoint
-				if part, err = OSParallel(g, opt, 3-workers); err != nil {
+				if part, err = osOnPool(g, opt, 3-workers); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -339,7 +338,8 @@ func TestAnchoredCutResumes(t *testing.T) {
 				}
 				opt := olsOpt(kl)
 				opt.Interrupt = pollBudget(cut)
-				got, err := olsRun(g, opt, workers)
+				opt.Executor = LocalWorkers(workers)
+				got, err := OLS(g, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +348,8 @@ func TestAnchoredCutResumes(t *testing.T) {
 						t.Fatalf("ols kl=%v w%d cut %d: checkpoint does not record the anchor", kl, workers, cut)
 					}
 					opt.Interrupt, opt.Resume = nil, got.Checkpoint
-					if got, err = olsRun(g, opt, 3-workers); err != nil {
+					opt.Executor = LocalWorkers(3 - workers)
+					if got, err = OLS(g, opt); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -381,12 +382,12 @@ func TestAnchoredRunsBuildNoGlobalSnapshot(t *testing.T) {
 	g := b.Build()
 	a := Anchor{Kind: AnchorRight, V: 1}
 	for _, workers := range []int{0, 3} {
-		if _, err := OSParallel(g, OSOptions{Trials: 200, Seed: 2, Anchor: a}, workers); err != nil {
+		if _, err := osOnPool(g, OSOptions{Trials: 200, Seed: 2, Anchor: a}, workers); err != nil {
 			t.Fatal(err)
 		}
 		for _, kl := range []bool{false, true} {
-			opt := OLSOptions{Trials: 200, PrepTrials: 30, Seed: 2, UseKarpLuby: kl, KL: KLOptions{Mu: 0.05}, OS: OSOptions{Anchor: a}}
-			if _, err := olsRun(g, opt, workers); err != nil {
+			opt := OLSOptions{Trials: 200, PrepTrials: 30, Seed: 2, UseKarpLuby: kl, KL: KLOptions{Mu: 0.05}, OS: OSOptions{Anchor: a}, Executor: LocalWorkers(workers)}
+			if _, err := OLS(g, opt); err != nil {
 				t.Fatal(err)
 			}
 		}

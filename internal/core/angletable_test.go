@@ -10,7 +10,7 @@ import (
 // w(∠_new) arrives.
 func TestAngleTableUpdateCases(t *testing.T) {
 	mk := func() *angleEntry {
-		e := &angleEntry{u1: 0, u2: 1, w1: math.Inf(-1), w2: math.Inf(-1)}
+		e := &angleEntry{u1: 0, u2: 1, angleClasses: angleClasses{w1: math.Inf(-1), w2: math.Inf(-1)}}
 		e.update(5, 10) // A1 = {∠(mid=10)} at weight 5
 		e.update(3, 11) // A2 = {∠(mid=11)} at weight 3
 		return e
@@ -152,7 +152,7 @@ func TestAngleTableCollisions(t *testing.T) {
 // TestAngleEntryBestWeight covers the fast-butterfly-creation weight
 // calculus of Section V-D.
 func TestAngleEntryBestWeight(t *testing.T) {
-	e := &angleEntry{w1: math.Inf(-1), w2: math.Inf(-1)}
+	e := &angleEntry{angleClasses: angleClasses{w1: math.Inf(-1), w2: math.Inf(-1)}}
 	if !math.IsInf(e.bestWeight(), -1) {
 		t.Fatal("empty entry should produce -Inf")
 	}

@@ -45,7 +45,7 @@ func TestOSParallelFullResultEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
-			par, err := OSParallel(g, opt, workers)
+			par, err := osOnPool(g, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestOLSParallelFullResultEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
-				par, err := OLSParallel(g, opt, workers)
+				par, err := olsOnPool(g, opt, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func TestKernelMatchesSeedOS(t *testing.T) {
 		}
 		requireSameResult(t, "os kernel vs seed (sequential)", ref, seq)
 		for _, workers := range []int{1, 8} {
-			par, err := OSParallel(g, opt, workers)
+			par, err := osOnPool(g, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestKernelMatchesSeedOLS(t *testing.T) {
 			}
 			requireSameResult(t, ref.Method+" kernel vs seed (sequential)", ref, seq)
 			for _, workers := range []int{1, 8} {
-				par, err := OLSParallel(g, opt, workers)
+				par, err := olsOnPool(g, opt, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 		var polls atomic.Int64
 		cut := opt
 		cut.Interrupt = func() bool { return polls.Add(1) > 6 }
-		part, err := OSParallel(g, cut, 4)
+		part, err := osOnPool(g, cut, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 		res.Resume = part.Checkpoint
 		for label, finish := range map[string]func() (*Result, error){
 			"sequential": func() (*Result, error) { return OS(g, res) },
-			"parallel":   func() (*Result, error) { return OSParallel(g, res, 4) },
+			"parallel":   func() (*Result, error) { return osOnPool(g, res, 4) },
 		} {
 			got, err := finish()
 			if err != nil {
@@ -219,7 +219,7 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 			var polls atomic.Int64
 			cut := opt
 			cut.Interrupt = func() bool { return polls.Add(1) > int64(opt.PrepTrials)+4 }
-			part, err := OLSParallel(g, cut, 4)
+			part, err := olsOnPool(g, cut, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,7 +230,7 @@ func TestKernelMatchesSeedAfterResume(t *testing.T) {
 			res.Resume = part.Checkpoint
 			for label, finish := range map[string]func() (*Result, error){
 				"sequential": func() (*Result, error) { return OLS(g, res) },
-				"parallel":   func() (*Result, error) { return OLSParallel(g, res, 4) },
+				"parallel":   func() (*Result, error) { return olsOnPool(g, res, 4) },
 			} {
 				got, err := finish()
 				if err != nil {
@@ -260,7 +260,7 @@ func TestEstimateKarpLubyParallelSingleWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := EstimateKarpLubyParallel(cands, opt, 1)
+		par, err := klOnPool(cands, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
@@ -11,9 +12,10 @@ import (
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
-// TrialExecutor is the seam between a parallel runner's bookkeeping
-// (validation, resume, partial results, checkpoints) and the machinery
-// that actually executes its independent trial units. The runners hand an
+// TrialExecutor is the seam between a runner's bookkeeping (validation,
+// resume, partial results, checkpoints) and the machinery that actually
+// executes its independent trial units: every OS, optimized-estimator and
+// Karp-Luby run goes through one. The runners hand an
 // executor a declarative ExecJob — "run units Start+1..Units of this
 // kind" — and fold the returned additive payload into their resumed
 // state.
@@ -31,8 +33,9 @@ import (
 //     executed units; merging per-range payloads in prefix order equals
 //     running the whole range in one place.
 //
-// LocalExecutor is the in-process worker pool behind Options.Workers;
-// internal/dist provides the coordinator-backed distributed executor.
+// LocalExecutor runs the units in process (a nil Executor option means
+// its one-worker form); internal/dist provides the coordinator-backed
+// distributed executor.
 type TrialExecutor interface {
 	// ExecuteTrials runs job's units Start+1..Units and returns the
 	// completed prefix with its payload. An error means no usable
@@ -108,28 +111,37 @@ type ExecJob struct {
 	Start int
 	// OS carries the Ordering Sampling kernel knobs for ExecOS (and the
 	// preparing-phase knobs a remote worker must rebuild candidates
-	// with). Only the pruning/ablation flags and the Anchor are
-	// meaningful here — trial counts, seeds and hooks travel in the
-	// fields above.
+	// with): the pruning/ablation flags and the Anchor. Trial counts and
+	// seeds travel in the fields above.
 	OS OSOptions
-	// KL carries the Karp-Luby sizing knobs for ExecKarpLuby
-	// (BaseTrials, Mu, MaxTrials). Hook fields must be nil.
+	// Optimized carries the ExecOptimized ablations (EagerSampling,
+	// DisableEarlyBreak). In-process only: a remote worker cannot
+	// receive them, so the runners send them to LocalExecutor alone.
+	Optimized OptimizedOptions
+	// KL carries the Karp-Luby sizing knobs for ExecKarpLuby (BaseTrials,
+	// Mu, MaxTrials) and the in-process-only OnlyCandidate restriction.
+	// The trace hooks in OS, Optimized and KL are set only for the inline
+	// one-worker run.
 	KL KLOptions
-	// Interrupt, if non-nil, is polled during execution; when it
-	// returns true the executor stops at a unit boundary and returns
-	// the completed prefix. Must be safe for concurrent use.
+
+	// Interrupt, if non-nil, is polled during execution; when it returns
+	// true the executor stops at a unit boundary and returns the
+	// completed prefix. Must be safe for concurrent use.
 	Interrupt func() bool
 	// Probe receives the job's telemetry (nil-safe). Executors flush
 	// exact counter deltas for completed units only, so the terminal
 	// counters are a function of the done-prefix — identical across
 	// local and distributed execution.
 	Probe *telemetry.Probe
-	// Workers is the parallelism hint for pool-style executors (0 =
-	// executor default).
-	Workers int
 	// Spec is the run-level identity for remote execution (see
 	// ExecSpec).
 	Spec ExecSpec
+
+	// acc and counts are an in-process runner's resumed state (ExecOS and
+	// ExecOptimized): LocalExecutor's first worker adds its OS trials to
+	// acc in place, and a one-worker run's running leader covers them.
+	acc    *probAccumulator
+	counts []int64
 }
 
 // ExecResult is the additive payload of an executed range. Exactly one
@@ -152,9 +164,11 @@ type ExecResult struct {
 	CandTrials []int
 
 	// acc is the in-process fast path for ExecOS: LocalExecutor hands
-	// the merged worker accumulator over directly so the local runner
-	// keeps today's allocation profile (no snapshot/rebuild round
-	// trip). Remote executors populate Counts instead.
+	// the merged worker accumulator over directly (the job's own acc,
+	// when it carried one, with the executed units added in place), so
+	// the local runner keeps today's allocation profile (no
+	// snapshot/rebuild round trip). Remote executors populate Counts
+	// instead.
 	acc *probAccumulator
 }
 
@@ -170,51 +184,42 @@ func (r *ExecResult) CountsSnapshot() []ButterflyCount {
 	return r.Counts
 }
 
-// foldCounts merges an ExecOS payload into an accumulator.
+// foldCounts merges an ExecOS payload into the accumulator the job
+// carried as acc (a no-op when LocalExecutor already added it in place).
 func (r *ExecResult) foldCounts(a *probAccumulator) {
-	if r.acc != nil {
+	switch {
+	case r.acc == a:
+	case r.acc != nil:
 		a.merge(r.acc)
-		return
-	}
-	if len(r.Counts) > 0 {
+	case len(r.Counts) > 0:
 		a.merge(accumulatorFromCounts(r.Counts))
 	}
 }
 
-// LocalExecutor runs job ranges on an in-process worker pool — the
-// chunked atomic-cursor dispatch that has always been behind the
-// parallel runners, now behind the TrialExecutor seam. The zero value is
-// ready to use (GOMAXPROCS workers).
+// LocalExecutor runs job ranges on an in-process worker pool: the
+// chunked atomic-cursor dispatch of parLoop for several workers, or one
+// worker inline on the caller's goroutine. It holds the only copy of each
+// estimator's trial body. The zero value is ready to use (GOMAXPROCS
+// workers).
 type LocalExecutor struct {
-	// Workers overrides the pool size (0 defers to the job's hint, then
-	// GOMAXPROCS).
+	// Workers sets the pool size (0 means GOMAXPROCS).
 	Workers int
 }
 
-// workerCount resolves the pool size for a job: explicit executor
-// setting, then the job hint, then GOMAXPROCS, clamped to the remaining
+// workerCount resolves the pool size for a job, clamped to the remaining
 // units so short tails don't spin idle goroutines.
 func (e *LocalExecutor) workerCount(job *ExecJob) int {
 	w := e.Workers
 	if w <= 0 {
-		w = job.Workers
+		w = runtime.GOMAXPROCS(0)
 	}
-	if w <= 0 {
-		w = parDefaultWorkers()
-	}
-	if rem := job.Units - job.Start; w > rem {
-		w = rem
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(w, job.Units-job.Start), 1)
 }
 
 // ExecuteTrials implements TrialExecutor.
 func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 	if job.Start >= job.Units {
-		return &ExecResult{Done: job.Units}, nil
+		return &ExecResult{Done: job.Units, acc: job.acc}, nil
 	}
 	switch job.Kind {
 	case ExecOS:
@@ -227,11 +232,11 @@ func (e *LocalExecutor) ExecuteTrials(job *ExecJob) (*ExecResult, error) {
 	return nil, fmt.Errorf("core: LocalExecutor: unknown job kind %v", job.Kind)
 }
 
-// runOS executes Ordering Sampling world trials. Worker-local
-// accumulators and kernels, merged at the end; no shared mutable state
-// during the run (DeriveInto only reads the root stream). Each worker
-// acquires one trial kernel (job.OS.Anchor picks which) and reuses it
-// for every trial of every chunk it claims, so the steady-state
+// runOS executes Ordering Sampling world trials (lines 3–22 of Algorithm
+// 2). Worker-local accumulators and kernels, merged at the end; no shared
+// mutable state during the run (DeriveInto only reads the root stream).
+// Each worker acquires one trial kernel (job.OS.Anchor picks which) and
+// reuses it for every trial of every chunk it claims, so the steady-state
 // per-trial cost is the kernel scan alone — no per-trial closures or
 // derives.
 func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
@@ -239,21 +244,22 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 		return nil, err
 	}
 	workers := e.workerCount(job)
-	job.Probe.EnsureWorkers(workers)
 	root := randx.New(job.Seed)
+	onTrial := job.OS.OnTrial
 	accs := make([]*probAccumulator, workers)
 	idxs := make([]trialKernel, workers)
-	done, err := parLoop(job.Start, job.Units, workers, job.Interrupt, func(w int) func(int, int) {
-		acc := newProbAccumulator()
+	done, err := parLoop(job.Probe, job.Start, job.Units, workers, job.Interrupt, func(w int) (func(int, int), func(int)) {
+		acc := job.acc
+		if w > 0 || acc == nil {
+			acc = newProbAccumulator()
+		}
 		accs[w] = acc
-		// Worker kernels come from the graph snapshot's pool: across runs
-		// over the same graph the ~1MB per-kernel scratch is reused instead
-		// of reallocated, which is what held the parallel path at ~40
-		// allocs per trial.
+		// Worker kernels come from the graph snapshot's free list: across
+		// runs over the same graph the ~1MB per-kernel scratch is reused
+		// instead of reallocated.
 		idx := acquireKernel(job.Graph, job.OS)
 		idxs[w] = idx
 		var sMB butterfly.MaxSet
-		job.Probe.LabelWorker(w)
 		meter := newTrialMeter(job.Probe, w, idx.scanLen(), false)
 		return func(lo, hi int) {
 			for trial := lo; trial <= hi; trial++ {
@@ -262,16 +268,19 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 				if hit {
 					acc.addMaxSet(&sMB)
 				}
-				meter.observe(trial, scanned, fellBack, hit)
+				if onTrial != nil {
+					onTrial(trial, &sMB)
+				}
+				// Only a one-worker run reaches the cadence flush (see
+				// parChunkTrials); it then publishes the running leader.
+				if meter.observe(trial, scanned, fellBack, hit) {
+					probeEstimate(job.Probe, 0, int64(acc.leadCount), trial, acc.leadB, acc.leadW)
+				}
 			}
-			// Chunks are always fully executed, so flushing per chunk keeps
-			// the registry's counters an exact function of the done-prefix —
-			// identical totals to the sequential run over the same trials.
-			meter.flush(hi)
-		}
+		}, meter.flush
 	})
-	// parLoop has joined every worker goroutine, so the kernels are idle
-	// and can rejoin the snapshot's pool (even on a worker panic).
+	// parLoop has joined every worker, so the kernels are idle and can
+	// rejoin the snapshot's free list (even on a worker panic).
 	for _, idx := range idxs {
 		if idx != nil {
 			idx.release()
@@ -280,52 +289,77 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged := newProbAccumulator()
-	for _, a := range accs {
-		if a != nil {
-			merged.merge(a)
-		}
+	merged := accs[0]
+	for _, a := range accs[1:] {
+		merged.merge(a)
 	}
 	return &ExecResult{Done: done, acc: merged}, nil
 }
 
 // runOptimized executes shared sampling trials of the optimized
-// estimator. Each worker owns private lazy-sampling scratch and a
-// private count vector, summed into one full-width vector at the end.
+// estimator (Algorithm 5). Each worker owns private lazy-sampling scratch
+// and a private count vector, summed into one full-width vector at the
+// end.
 func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
 	workers := e.workerCount(job)
-	job.Probe.EnsureWorkers(workers)
 	c := job.Cands
 	n := len(c.List)
-	g := c.G
-	numE := g.NumEdges()
+	numE := c.G.NumEdges()
 	// One id-indexed threshold table, shared read-only by all workers.
-	thresh := edgeThresholds(g)
+	// Presence draws compare one raw generator word against thresh[id],
+	// draw-for-draw identical to randx.Bernoulli.
+	thresh := edgeThresholds(c.G)
 	root := randx.New(job.Seed)
+	noEarlyBreak, onTrial := job.Optimized.DisableEarlyBreak, job.Optimized.OnTrial
+	var relevant []bigraph.EdgeID // union of candidate edges, for the eager ablation
+	if job.Optimized.EagerSampling {
+		seen := make([]bool, numE)
+		for _, cand := range c.List {
+			for _, id := range cand.Edges {
+				if !seen[id] {
+					seen[id] = true
+					relevant = append(relevant, id)
+				}
+			}
+		}
+	}
 	countsPer := make([][]int64, workers)
-	done, err := parLoop(job.Start, job.Units, workers, job.Interrupt, func(w int) func(int, int) {
+	done, err := parLoop(job.Probe, job.Start, job.Units, workers, job.Interrupt, func(w int) (func(int, int), func(int)) {
 		cw := make([]int64, n)
 		countsPer[w] = cw
 		stamp := make([]int32, numE)
 		val := make([]bool, numE)
-		var cur int32
-		var rng randx.RNG
-		job.Probe.LabelWorker(w)
+		var curW int32  // stamp generation, carried across calls
+		var hitsW []int // hits buffer, likewise
 		meter := newTrialMeter(job.Probe, w, n, true)
 		return func(lo, hi int) {
+			// The loop runs on locals: the compiler keeps them in
+			// registers, but reloads a closure's variables after every
+			// store (and those the closure writes live on the heap).
+			list, cw, stamp, val, thresh := c.List, cw, stamp, val, thresh
+			cur, hits := curW, hitsW
+			var rng randx.RNG
 			for trial := lo; trial <= hi; trial++ {
 				root.DeriveInto(uint64(trial), &rng)
 				cur++
+				for _, id := range relevant {
+					stamp[id] = cur
+					val[id] = rng.BernoulliThresholded(thresh[id])
+				}
 				wMax := math.Inf(-1)
+				hits = hits[:0]
 				examined := n
-				for k := 0; k < n; k++ {
-					cand := &c.List[k]
-					if cand.Weight < wMax {
+				for k := range list { // line 4: B_k in weight order
+					cand := &list[k]
+					if cand.Weight < wMax { // line 5
+						if noEarlyBreak {
+							continue
+						}
 						examined = k
-						break
+						break // line 6
 					}
 					exists := true
-					for _, id := range cand.Edges {
+					for _, id := range cand.Edges { // line 7: lazy sampling
 						if stamp[id] != cur {
 							stamp[id] = cur
 							val[id] = rng.BernoulliThresholded(thresh[id])
@@ -335,24 +369,29 @@ func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
 							break
 						}
 					}
-					if exists {
+					if exists { // lines 8–10
 						cw[k]++
+						hits = append(hits, k)
 						wMax = cand.Weight
 					}
 				}
-				meter.observe(trial, examined, false, !math.IsInf(wMax, -1))
+				if onTrial != nil {
+					onTrial(trial, hits)
+				}
+				// Only a one-worker run reaches the cadence flush (see
+				// parChunkTrials); it then publishes the running leader.
+				if meter.observe(trial, examined, false, len(hits) > 0) {
+					probeOptimizedLeader(job.Probe, c, job.counts, cw, trial)
+				}
 			}
-			meter.flush(hi)
-		}
+			curW, hitsW = cur, hits
+		}, meter.flush
 	})
 	if err != nil {
 		return nil, err
 	}
-	counts := make([]int64, n)
-	for _, cw := range countsPer {
-		if cw == nil {
-			continue
-		}
+	counts := countsPer[0]
+	for _, cw := range countsPer[1:] {
 		for i, cnt := range cw {
 			counts[i] += cnt
 		}
@@ -360,12 +399,12 @@ func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
 	return &ExecResult{Done: done, CandCounts: counts}, nil
 }
 
-// runKarpLuby prices candidates Start..Units-1. parLoop's 1-based
-// "trials" start+1..n map to candidate indices start..n-1; writes into
-// the full-width vectors are per-index disjoint.
+// runKarpLuby prices candidates Start..Units-1 (Algorithm 4). parLoop's
+// 1-based "trials" start+1..n map to candidate indices start..n-1; writes
+// into the full-width vectors are per-index disjoint. A candidate other
+// than job.KL.OnlyCandidate, when that is set, is left unpriced at 0.
 func (e *LocalExecutor) runKarpLuby(job *ExecJob) (*ExecResult, error) {
 	workers := e.workerCount(job)
-	job.Probe.EnsureWorkers(workers)
 	c := job.Cands
 	n := job.Units
 	probs := make([]float64, n)
@@ -373,17 +412,20 @@ func (e *LocalExecutor) runKarpLuby(job *ExecJob) (*ExecResult, error) {
 	numE := c.G.NumEdges()
 	thresh := edgeThresholds(c.G) // shared read-only by all workers
 	root := randx.New(job.Seed)
-	done, err := parLoop(job.Start, n, workers, job.Interrupt, func(w int) func(int, int) {
+	only := job.KL.OnlyCandidate
+	done, err := parLoop(job.Probe, job.Start, n, workers, job.Interrupt, func(w int) (func(int, int), func(int)) {
 		scratch := newKLScratch(numE, thresh)
-		job.Probe.LabelWorker(w)
 		lastT := time.Now()
 		return func(lo, hi int) {
 			for trial := lo; trial <= hi; trial++ {
 				i := trial - 1
+				if only != nil && i != *only {
+					continue
+				}
 				probs[i], trials[i] = klPrice(c, i, job.KL, root, scratch)
 				probeKLCandidate(job.Probe, w, i, trials[i], &lastT)
 			}
-		}
+		}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -78,7 +78,7 @@ func BenchmarkOSParallelRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OSParallel(g, OSOptions{Trials: 200, Seed: 42}, 0); err != nil {
+		if _, err := osOnPool(g, OSOptions{Trials: 200, Seed: 42}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

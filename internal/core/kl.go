@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/randx"
@@ -37,18 +36,22 @@ type KLOptions struct {
 	// candidate with the candidate index, the 1-based trial index, and
 	// the running estimate P̂(B_i) as of that trial. The convergence
 	// experiment (Fig. 11) hooks here. Candidates resolved without
-	// sampling (L(i) = 0 or S_i = 0) fire once with trial 0.
+	// sampling (L(i) = 0 or S_i = 0) fire once with trial 0. It needs a
+	// nil Executor: candidates are then priced in order on the caller's
+	// goroutine.
 	OnCandidateTrial func(cand, trial int, runningP float64)
 	// OnlyCandidate, when non-nil, restricts estimation to the single
 	// candidate with that index; every other probability is returned as
 	// 0. Convergence traces of one butterfly use this to avoid pricing
-	// thousands of irrelevant candidates.
+	// thousands of irrelevant candidates. In-process only: it needs a nil
+	// Executor or a *LocalExecutor.
 	OnlyCandidate *int
 	// Interrupt, if non-nil, is polled between candidates; when it returns
 	// true the run stops, leaving later candidates unpriced (State reports
 	// how many were finished). Estimation is candidate-granular, so the
-	// priced prefix is exact. Parallel runners poll the hook concurrently
-	// from every worker; it must be safe for concurrent use there.
+	// priced prefix is exact. A multi-worker executor polls the hook
+	// concurrently from every worker; it must be safe for concurrent use
+	// there.
 	Interrupt func() bool
 	// State, if non-nil, receives the run's completion state — partial
 	// flag, priced-candidate count, and per-candidate data for
@@ -66,10 +69,10 @@ type KLOptions struct {
 	// counts actually executed, flushed once per priced candidate. Nil
 	// costs one predictable branch per candidate.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, replaces EstimateKarpLubyParallel's default
-	// in-process worker pool with an explicit TrialExecutor. Spec then
-	// carries the run-level identity remote executors need; both are
-	// ignored by the sequential EstimateKarpLuby.
+	// Executor prices the candidates: nil runs one worker inline on the
+	// caller's goroutine, &LocalExecutor{Workers: N} runs N in-process
+	// workers, and any other TrialExecutor runs them where it likes.
+	// Spec carries the run-level identity remote executors need.
 	Executor TrialExecutor
 	Spec     ExecSpec
 }
@@ -110,68 +113,76 @@ func newKLScratch(numE int, thresh []uint64) *klScratch {
 // Note the estimate treats C_MB as the complete competitor set; butterflies
 // missing from the candidate set bias P̂ upward by at most Σ P(B_missing)
 // (Lemma VI.5).
+//
+// Every candidate's estimation is independent (its random stream derives
+// from (Seed, candidate index)), so the candidates are the units
+// opt.Executor distributes (LocalExecutor.runKarpLuby prices them), and
+// per-candidate results are bit-identical at every worker count.
+// Cancellation stops pricing at a candidate-prefix boundary and resume
+// continues from it.
 func EstimateKarpLuby(c *Candidates, opt KLOptions) ([]float64, error) {
 	if err := validateKL(opt); err != nil {
+		return nil, err
+	}
+	local := ""
+	if opt.OnlyCandidate != nil {
+		local = "OnlyCandidate"
+	}
+	if err := checkExecutor(opt.Executor, opt.OnCandidateTrial != nil, local); err != nil {
 		return nil, err
 	}
 	n := len(c.List)
 	probs := make([]float64, n)
 	trialsUsed := make([]int, n)
-	start, err := klResumeInit(n, opt, probs, trialsUsed)
+	start := opt.ResumeDone // the already-priced prefix
+	if start != 0 || opt.ResumeProbs != nil {
+		if start < 0 || start > n {
+			return nil, fmt.Errorf("core: Karp-Luby resume at candidate %d outside [0,%d]", start, n)
+		}
+		if len(opt.ResumeProbs) != n || len(opt.ResumeTrials) != n {
+			return nil, fmt.Errorf("core: Karp-Luby resume has %d/%d entries, want %d", len(opt.ResumeProbs), len(opt.ResumeTrials), n)
+		}
+		for i := 0; i < start; i++ {
+			probs[i] = opt.ResumeProbs[i]
+			trialsUsed[i] = int(opt.ResumeTrials[i])
+		}
+	}
+	r, err := runExecutor(opt.Executor).ExecuteTrials(&ExecJob{
+		Kind:  ExecKarpLuby,
+		Graph: c.G,
+		Cands: c,
+		OS:    OSOptions{Anchor: c.Anchor},
+		Seed:  opt.Seed,
+		Units: n,
+		Start: start,
+		KL: KLOptions{
+			BaseTrials:       opt.BaseTrials,
+			Mu:               opt.Mu,
+			MaxTrials:        opt.MaxTrials,
+			OnCandidateTrial: opt.OnCandidateTrial,
+			OnlyCandidate:    opt.OnlyCandidate,
+		},
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		Spec:      opt.Spec,
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	scratch := newKLScratch(c.G.NumEdges(), edgeThresholds(c.G))
-	root := randx.New(opt.Seed)
-	partial := false
-	done := n
-	var lastT time.Time
-	if opt.Probe != nil {
-		lastT = time.Now()
-	}
-	for i := start; i < n; i++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			partial = true
-			done = i
-			break
-		}
-		if opt.OnlyCandidate != nil && i != *opt.OnlyCandidate {
-			continue
-		}
-		probs[i], trialsUsed[i] = klPrice(c, i, opt, root, scratch)
-		probeKLCandidate(opt.Probe, 0, i, trialsUsed[i], &lastT)
+	if r.Done > start {
+		copy(probs[start:r.Done], r.CandProbs[start:r.Done])
+		copy(trialsUsed[start:r.Done], r.CandTrials[start:r.Done])
 	}
 	if opt.TrialsUsed != nil {
 		*opt.TrialsUsed = trialsUsed
 	}
 	if opt.State != nil {
-		*opt.State = EstimatorState{Partial: partial, Done: done, Probs: probs, Trials: trialsUsed}
+		*opt.State = EstimatorState{Partial: r.Done < n, Done: r.Done, Probs: probs, Trials: trialsUsed}
 	}
 	return probs, nil
 }
 
-// klResumeInit validates the resume options and copies the already-priced
-// prefix into probs/trialsUsed, returning the first candidate to price.
-func klResumeInit(n int, opt KLOptions, probs []float64, trialsUsed []int) (int, error) {
-	if opt.ResumeDone == 0 && opt.ResumeProbs == nil {
-		return 0, nil
-	}
-	if opt.ResumeDone < 0 || opt.ResumeDone > n {
-		return 0, fmt.Errorf("core: Karp-Luby resume at candidate %d outside [0,%d]", opt.ResumeDone, n)
-	}
-	if len(opt.ResumeProbs) != n || len(opt.ResumeTrials) != n {
-		return 0, fmt.Errorf("core: Karp-Luby resume has %d/%d entries, want %d", len(opt.ResumeProbs), len(opt.ResumeTrials), n)
-	}
-	for i := 0; i < opt.ResumeDone; i++ {
-		probs[i] = opt.ResumeProbs[i]
-		trialsUsed[i] = int(opt.ResumeTrials[i])
-	}
-	return opt.ResumeDone, nil
-}
-
-// validateKL checks the option combinations shared by the sequential and
-// parallel Karp-Luby runners.
+// validateKL checks the Karp-Luby option combinations.
 func validateKL(opt KLOptions) error {
 	if opt.BaseTrials <= 0 {
 		return fmt.Errorf("core: Karp-Luby estimator requires BaseTrials > 0, got %d", opt.BaseTrials)

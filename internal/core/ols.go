@@ -36,8 +36,8 @@ type OLSOptions struct {
 	// partial Result with a resumable Checkpoint. Cancellation during the
 	// preparing phase yields a prepare-phase checkpoint and no estimates
 	// yet; during the sampling phase, estimates over the completed prefix.
-	// Parallel runners poll the hook concurrently from every worker; it
-	// must be safe for concurrent use there.
+	// A multi-worker executor polls the hook concurrently from every
+	// worker; it must be safe for concurrent use there.
 	Interrupt func() bool
 	// Resume continues a cancelled run from its checkpoint. The options
 	// must match the checkpointed run (method, seed, trial targets, Mu,
@@ -49,10 +49,11 @@ type OLSOptions struct {
 	// preparing phase flushes under the "prep" phase label (with candidate
 	// promotions), the sampling phase under "sample". Nil is free.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, runs the SAMPLING phase through an explicit
-	// TrialExecutor instead of the in-process worker pool (the preparing
-	// phase always runs locally: it is short, and its candidate set is
-	// what remote workers rebuild deterministically from the seed).
+	// Executor runs the SAMPLING phase: nil runs one worker inline on the
+	// caller's goroutine, &LocalExecutor{Workers: N} runs N in-process
+	// workers, and any other TrialExecutor runs it where it likes. The
+	// preparing phase always runs inline: it is short, and its candidate
+	// set is what remote workers rebuild deterministically from the seed.
 	Executor TrialExecutor
 }
 
@@ -89,31 +90,11 @@ func (o OLSOptions) mu() float64 {
 // no candidate at all (no butterfly observed in any preparing trial)
 // yields an empty Result rather than an error.
 func OLS(g *bigraph.Graph, opt OLSOptions) (*Result, error) {
-	return olsRun(g, opt, 0)
-}
-
-// OLSParallel is OLS with the sampling phase distributed over workers
-// goroutines (0 means GOMAXPROCS); the short preparing phase stays
-// sequential. Results are bit-identical to OLS with the same options.
-func OLSParallel(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = parDefaultWorkers()
-	}
-	return olsRun(g, opt, workers)
-}
-
-// olsRun executes both OLS phases; workers 0 means a fully sequential
-// sampling phase.
-func olsRun(g *bigraph.Graph, opt OLSOptions, workers int) (*Result, error) {
 	cands, part, err := PrepareOLS(g, opt)
 	if cands == nil {
 		return part, err
 	}
-	samplingResume := opt.Resume
-	if samplingResume != nil && samplingResume.Prepare {
-		samplingResume = nil // the prepare checkpoint is consumed; sampling starts fresh
-	}
-	return olsSampling(cands, opt, workers, samplingResume)
+	return OLSSamplingPhase(cands, opt)
 }
 
 // PrepareOLS runs the preparing phase of OLS on its own, so a caller can
@@ -177,33 +158,19 @@ func prepPartialResult(method string, g *bigraph.Graph, opt OLSOptions, cands *C
 // re-listing candidates; the Searcher uses it to reuse cached candidates.
 // opt.Resume may be a checkpoint from either phase: a prepare-phase
 // checkpoint is consumed — cands is the completed phase it was cut from —
-// and sampling starts fresh.
+// and sampling starts fresh. Cancellation, resume state and
+// partial-result bookkeeping thread through the selected estimator.
 func OLSSamplingPhase(cands *Candidates, opt OLSOptions) (*Result, error) {
-	return OLSSamplingPhaseParallel(cands, opt, 0)
-}
-
-// OLSSamplingPhaseParallel is OLSSamplingPhase with the estimator trials
-// (or, for Karp-Luby, candidates) distributed over workers goroutines
-// (0 means sequential). Results are bit-identical to the sequential phase.
-func OLSSamplingPhaseParallel(cands *Candidates, opt OLSOptions, workers int) (*Result, error) {
+	method, g := opt.method(), cands.G
 	resume := opt.Resume
 	if resume != nil {
-		if err := resume.resumeCheck(opt.method(), opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), cands.Anchor, cands.G); err != nil {
+		if err := resume.resumeCheck(method, opt.Seed, opt.Trials, opt.PrepTrials, opt.mu(), cands.Anchor, g); err != nil {
 			return nil, err
 		}
 		if resume.Prepare {
 			resume = nil
 		}
 	}
-	return olsSampling(cands, opt, workers, resume)
-}
-
-// olsSampling prices the candidates and assembles the Result, threading
-// cancellation, resume state, and partial-result bookkeeping through the
-// selected estimator.
-func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpoint) (*Result, error) {
-	method := opt.method()
-	g := cands.G
 	if cands.Len() == 0 {
 		return &Result{Method: method, Trials: opt.Trials, TrialsDone: opt.Trials, PrepTrials: opt.PrepTrials}, nil
 	}
@@ -234,11 +201,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 			kl.ResumeTrials = resume.CandTrials
 			kl.ResumeDone = resume.Done
 		}
-		if workers > 1 || opt.Executor != nil {
-			probs, err = EstimateKarpLubyParallel(cands, kl, workers)
-		} else {
-			probs, err = EstimateKarpLuby(cands, kl)
-		}
+		probs, err = EstimateKarpLuby(cands, kl)
 	} else {
 		op := opt.Optimized
 		op.Trials = opt.Trials
@@ -255,11 +218,7 @@ func olsSampling(cands *Candidates, opt OLSOptions, workers int, resume *Checkpo
 			op.ResumeCounts = resume.CandCounts
 			op.ResumeDone = resume.Done
 		}
-		if workers > 1 || opt.Executor != nil {
-			probs, err = EstimateOptimizedParallel(cands, op, workers)
-		} else {
-			probs, err = EstimateOptimized(cands, op)
-		}
+		probs, err = EstimateOptimized(cands, op)
 	}
 	if err != nil {
 		return nil, err

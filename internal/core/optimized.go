@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"github.com/uncertain-graphs/mpmb/internal/randx"
 	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
@@ -34,22 +32,26 @@ type OptimizedOptions struct {
 	Seed uint64
 	// EagerSampling samples every candidate-relevant edge at the start of
 	// each trial instead of lazily on first touch. Ablation only; the
-	// estimate distribution is identical.
+	// estimate distribution is identical. In-process only: it needs a nil
+	// Executor or a *LocalExecutor.
 	EagerSampling bool
 	// DisableEarlyBreak keeps scanning candidates after the running
 	// maximum weight exceeds the remaining candidates' weights (the
 	// results are unchanged because such candidates can never join S_MB;
-	// they are simply tested and discarded). Ablation only.
+	// they are simply tested and discarded). Ablation only, in-process
+	// only like EagerSampling.
 	DisableEarlyBreak bool
 	// OnTrial, if non-nil, receives after each trial the 1-based trial
 	// index and the candidate indices credited in that trial (the trial's
-	// S_MB restricted to C_MB). The slice is reused; copy to retain.
+	// S_MB restricted to C_MB). The slice is reused; copy to retain. It
+	// needs a nil Executor: trials then run in order on the caller's
+	// goroutine.
 	OnTrial func(trial int, hits []int)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and the returned probabilities are normalized
-	// over the completed trials (State reports how many). Parallel runners
-	// poll the hook concurrently from every worker; it must be safe for
-	// concurrent use there.
+	// over the completed trials (State reports how many). A multi-worker
+	// executor polls the hook concurrently from every worker; it must be
+	// safe for concurrent use there.
 	Interrupt func() bool
 	// State, if non-nil, receives the run's completion state — partial
 	// flag, completed trials, and the raw counts needed to checkpoint.
@@ -62,13 +64,13 @@ type OptimizedOptions struct {
 	ResumeDone   int
 	// Probe, if non-nil, receives run telemetry: trial counts, the
 	// candidate scanned/pruned split of the early break (Algorithm 3
-	// lines 5-6), and running leader estimates. Nil costs one predictable
-	// branch per trial.
+	// lines 5-6), and (one worker only) running leader estimates. Nil
+	// costs one predictable branch per trial.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, replaces EstimateOptimizedParallel's default
-	// in-process worker pool with an explicit TrialExecutor. Spec then
-	// carries the run-level identity remote executors need; both are
-	// ignored by the sequential EstimateOptimized.
+	// Executor runs the trials: nil runs one worker inline on the
+	// caller's goroutine, &LocalExecutor{Workers: N} runs N in-process
+	// workers, and any other TrialExecutor runs them where it likes.
+	// Spec carries the run-level identity remote executors need.
 	Executor TrialExecutor
 	Spec     ExecSpec
 }
@@ -82,144 +84,90 @@ type OptimizedOptions struct {
 // contain it), the first existing candidate fixes w_max, candidates tied
 // at w_max keep being collected, and the scan stops at the first candidate
 // lighter than w_max. Each trial therefore costs O(|C_MB|) in the worst
-// case and typically far less (Lemma VI.3).
+// case and typically far less (Lemma VI.3). The trials run through
+// opt.Executor (LocalExecutor.runOptimized holds the scan); per-trial
+// streams derive from (Seed, trial index), so every worker count gives
+// bit-identical estimates.
 func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
 	if opt.Trials <= 0 {
 		return nil, fmt.Errorf("core: optimized estimator requires Trials > 0, got %d", opt.Trials)
 	}
-	n := len(c.List)
-	counts, start, err := optimizedResumeCounts(n, opt)
-	if err != nil {
+	local := ""
+	if opt.EagerSampling || opt.DisableEarlyBreak {
+		local = "the EagerSampling/DisableEarlyBreak ablations"
+	}
+	if err := checkExecutor(opt.Executor, opt.OnTrial != nil, local); err != nil {
 		return nil, err
 	}
-	g := c.G
-	// Per-trial lazy sampling state over backbone edge ids. Presence draws
-	// go through precomputed Bernoulli thresholds (one raw generator word
-	// compared against thresh[id], draw-for-draw identical to
-	// randx.Bernoulli) and the per-trial stream is derived in place, so the
-	// steady-state trial allocates nothing.
-	numE := g.NumEdges()
-	stamp := make([]int32, numE)
-	val := make([]bool, numE)
-	thresh := edgeThresholds(g)
-	var cur int32
-	var rng randx.RNG
-
-	// Union of candidate edges, for the eager ablation.
-	var relevant []int
-	if opt.EagerSampling {
-		seen := make(map[int]struct{})
-		for _, cand := range c.List {
-			for _, id := range cand.Edges {
-				if _, ok := seen[int(id)]; !ok {
-					seen[int(id)] = struct{}{}
-					relevant = append(relevant, int(id))
-				}
-			}
-		}
-	}
-
-	root := randx.New(opt.Seed)
-	var hits []int
-	meter := newTrialMeter(opt.Probe, 0, n, true)
-	for trial := start; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			meter.flush(trial - 1)
-			return optimizedFinish(counts, trial-1, opt, true), nil
-		}
-		root.DeriveInto(uint64(trial), &rng)
-		cur++
-		if opt.EagerSampling {
-			for _, id := range relevant {
-				stamp[id] = cur
-				val[id] = rng.BernoulliThresholded(thresh[id])
-			}
-		}
-		wMax := math.Inf(-1)
-		hits = hits[:0]
-		examined := n
-		for k := 0; k < n; k++ { // line 4: B_k in weight order
-			cand := &c.List[k]
-			if cand.Weight < wMax { // line 5
-				if opt.DisableEarlyBreak {
-					continue
-				}
-				examined = k
-				break // line 6
-			}
-			exists := true
-			for _, id := range cand.Edges { // line 7: lazy sampling
-				if stamp[id] != cur {
-					stamp[id] = cur
-					val[id] = rng.BernoulliThresholded(thresh[id])
-				}
-				if !val[id] {
-					exists = false
-					break
-				}
-			}
-			if exists { // lines 8–10
-				counts[k]++
-				hits = append(hits, k)
-				wMax = cand.Weight
-			}
-		}
-		if opt.OnTrial != nil {
-			opt.OnTrial(trial, hits)
-		}
-		if meter.observe(trial, examined, false, len(hits) > 0) {
-			probeOptimizedLeader(opt.Probe, c, counts, trial)
-		}
-	}
-	meter.flush(opt.Trials)
-	return optimizedFinish(counts, opt.Trials, opt, false), nil
-}
-
-// probeOptimizedLeader publishes the running argmax of the optimized
-// estimator's count vector. Called at flush cadence only, so the O(n)
-// scan is amortized over probeFlushEvery trials.
-func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, counts []int64, trial int) {
-	if p == nil || len(counts) == 0 {
-		return
-	}
-	lead := 0
-	for k := 1; k < len(counts); k++ {
-		if counts[k] > counts[lead] {
-			lead = k
-		}
-	}
-	probeEstimate(p, 0, counts[lead], trial, c.List[lead].B, c.List[lead].Weight)
-}
-
-// optimizedResumeCounts validates resume options and returns the starting
-// accumulator plus the first trial to run.
-func optimizedResumeCounts(n int, opt OptimizedOptions) ([]int64, int, error) {
+	n := len(c.List)
 	if opt.ResumeDone < 0 || opt.ResumeDone > opt.Trials {
-		return nil, 0, fmt.Errorf("core: optimized resume at trial %d outside [0,%d]", opt.ResumeDone, opt.Trials)
+		return nil, fmt.Errorf("core: optimized resume at trial %d outside [0,%d]", opt.ResumeDone, opt.Trials)
 	}
 	counts := make([]int64, n)
 	if opt.ResumeCounts != nil {
 		if len(opt.ResumeCounts) != n {
-			return nil, 0, fmt.Errorf("core: optimized resume has %d candidate counts, want %d", len(opt.ResumeCounts), n)
+			return nil, fmt.Errorf("core: optimized resume has %d candidate counts, want %d", len(opt.ResumeCounts), n)
 		}
 		copy(counts, opt.ResumeCounts)
 	} else if opt.ResumeDone != 0 {
-		return nil, 0, fmt.Errorf("core: optimized resume at trial %d without counts", opt.ResumeDone)
+		return nil, fmt.Errorf("core: optimized resume at trial %d without counts", opt.ResumeDone)
 	}
-	return counts, opt.ResumeDone + 1, nil
-}
-
-// optimizedFinish converts counts into probabilities normalized over the
-// done-trial prefix (lines 11–12) and reports the run state.
-func optimizedFinish(counts []int64, done int, opt OptimizedOptions, partial bool) []float64 {
-	probs := make([]float64, len(counts))
-	if done > 0 {
+	r, err := runExecutor(opt.Executor).ExecuteTrials(&ExecJob{
+		Kind:  ExecOptimized,
+		Graph: c.G,
+		Cands: c,
+		OS:    OSOptions{Anchor: c.Anchor},
+		Optimized: OptimizedOptions{
+			EagerSampling:     opt.EagerSampling,
+			DisableEarlyBreak: opt.DisableEarlyBreak,
+			OnTrial:           opt.OnTrial,
+		},
+		Seed:      opt.Seed,
+		Units:     opt.Trials,
+		Start:     opt.ResumeDone,
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		Spec:      opt.Spec,
+		counts:    counts,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, cnt := range r.CandCounts {
+		counts[i] += cnt
+	}
+	// Lines 11–12, normalized over the completed prefix.
+	probs := make([]float64, n)
+	if r.Done > 0 {
 		for i, cnt := range counts {
-			probs[i] = float64(cnt) / float64(done)
+			probs[i] = float64(cnt) / float64(r.Done)
 		}
 	}
 	if opt.State != nil {
-		*opt.State = EstimatorState{Partial: partial, Done: done, Counts: counts}
+		*opt.State = EstimatorState{Partial: r.Done < opt.Trials, Done: r.Done, Counts: counts}
 	}
-	return probs
+	return probs, nil
+}
+
+// probeOptimizedLeader publishes the running argmax of the optimized
+// estimator's count vector base+counts (base, the resumed tally, may be
+// nil). Called at flush cadence only, so the O(n) scan is amortized over
+// probeFlushEvery trials.
+func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, base, counts []int64, trial int) {
+	if p == nil || len(counts) == 0 {
+		return
+	}
+	at := func(k int) int64 {
+		if base != nil {
+			return base[k] + counts[k]
+		}
+		return counts[k]
+	}
+	lead := 0
+	for k := 1; k < len(counts); k++ {
+		if at(k) > at(lead) {
+			lead = k
+		}
+	}
+	probeEstimate(p, 0, at(lead), trial, c.List[lead].B, c.List[lead].Weight)
 }

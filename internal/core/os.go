@@ -35,14 +35,16 @@ type OSOptions struct {
 	DropA2 bool
 	// OnTrial, if non-nil, is invoked after every trial with the 1-based
 	// trial index and that trial's maximum butterfly set. The MaxSet is
-	// reused between trials; copy what must be retained.
+	// reused between trials; copy what must be retained. It needs a nil
+	// Executor: trials then run in order on the caller's goroutine.
 	OnTrial func(trial int, sMB *butterfly.MaxSet)
 	// Interrupt, if non-nil, is polled between trials; when it returns
 	// true the run stops and returns a partial Result over the completed
 	// trials with a resumable Checkpoint attached. OS trials are short, so
 	// between-trial granularity suffices (unlike MC-VP's mid-trial hook).
-	// Parallel runners poll the hook concurrently from every worker, so it
-	// must be safe for concurrent use there (a context-derived hook is).
+	// A multi-worker executor polls the hook concurrently from every
+	// worker, so it must be safe for concurrent use there (a
+	// context-derived hook is).
 	Interrupt func() bool
 	// Resume restores the accumulator from a checkpoint written by an
 	// earlier cancelled run with identical options; the run continues at
@@ -50,16 +52,16 @@ type OSOptions struct {
 	// uninterrupted run.
 	Resume *Checkpoint
 	// Probe, if non-nil, receives run telemetry: trial counts, the edge
-	// scanned/pruned split of the Section V-B prune, and running leader
-	// estimates, batched at probeFlushEvery-trial (or per-chunk) cadence.
-	// A nil Probe costs one predictable branch per trial and changes no
-	// Result bit.
+	// scanned/pruned split of the Section V-B prune, and (one worker
+	// only) running leader estimates, batched at probeFlushEvery-trial
+	// (or per-chunk) cadence. A nil Probe costs one predictable branch
+	// per trial and changes no Result bit.
 	Probe *telemetry.Probe
-	// Executor, if non-nil, replaces OSParallel's default in-process
-	// worker pool with an explicit TrialExecutor (e.g. a distributed
-	// fan-out). Per-trial streams derive from (Seed, trial index), so any
-	// conforming executor returns bit-identical results. Ignored by the
-	// sequential OS.
+	// Executor runs the trials. Nil runs one worker inline on the
+	// caller's goroutine; &LocalExecutor{Workers: N} runs N in-process
+	// workers; any other TrialExecutor (e.g. a distributed fan-out) runs
+	// them wherever it likes. Per-trial streams derive from (Seed, trial
+	// index), so every conforming executor returns bit-identical results.
 	Executor TrialExecutor
 	// Anchor, when set, restricts every trial's S_MB to the butterflies
 	// containing it (an anchored query): the trials run on the anchored
@@ -67,14 +69,6 @@ type OSOptions struct {
 	// trial streams, accumulation, checkpoints and executors. The
 	// pruning and ablation knobs above do not apply to it.
 	Anchor Anchor
-}
-
-// check validates the run-level options shared by OS and OSParallel.
-func (o OSOptions) check(g *bigraph.Graph, runner string) error {
-	if o.Trials <= 0 {
-		return fmt.Errorf("core: %s requires Trials > 0, got %d", runner, o.Trials)
-	}
-	return o.Anchor.check(g)
 }
 
 // OS is Ordering Sampling (Section V, Algorithm 2). Like MC-VP it samples
@@ -96,50 +90,59 @@ func (o OSOptions) check(g *bigraph.Graph, runner string) error {
 // exactly the same distribution as sampling the whole world up front
 // (edges are independent) while never touching edges behind the prune.
 //
-// The trial loop runs on the flat-memory kernel (see osIndex): a SoA edge
-// snapshot with precomputed Bernoulli thresholds, a generation-stamped
-// open-addressing angle table, and a worker-local derived stream — all
-// draw-for-draw identical to the frozen seed implementation in osref.go,
-// which the equivalence tests compare against bit for bit.
+// The trials run through opt.Executor (see OSOptions.Executor) on the
+// flat-memory kernel (see osIndex): a SoA edge snapshot with precomputed
+// Bernoulli thresholds, a generation-stamped open-addressing angle table,
+// and a worker-local derived stream — all draw-for-draw identical to the
+// frozen seed implementation in osref.go, which the equivalence tests
+// compare against bit for bit.
 func OS(g *bigraph.Graph, opt OSOptions) (*Result, error) {
-	if err := opt.check(g, "OS"); err != nil {
+	if opt.Trials <= 0 {
+		return nil, fmt.Errorf("core: OS requires Trials > 0, got %d", opt.Trials)
+	}
+	if err := checkExecutor(opt.Executor, opt.OnTrial != nil, ""); err != nil {
+		return nil, err
+	}
+	if err := opt.Anchor.check(g); err != nil {
 		return nil, err
 	}
 	acc := newProbAccumulator()
-	start := 1
+	start := 0
 	if opt.Resume != nil {
 		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, opt.Anchor, g); err != nil {
 			return nil, err
 		}
 		acc = accumulatorFromCounts(opt.Resume.Counts)
-		start = opt.Resume.Done + 1
+		start = opt.Resume.Done
 	}
-	idx := acquireKernel(g, opt)
-	defer idx.release()
-	root := randx.New(opt.Seed)
-	var sMB butterfly.MaxSet
-	meter := newTrialMeter(opt.Probe, 0, idx.scanLen(), false)
-	for trial := start; trial <= opt.Trials; trial++ {
-		if opt.Interrupt != nil && opt.Interrupt() {
-			meter.flush(trial - 1)
-			res := acc.partialResult("os", g, opt.Seed, opt.Trials, trial-1, opt.Anchor)
-			probeFinish(opt.Probe, res)
-			return res, nil
-		}
-		scanned, fellBack := idx.runTrialSeeded(root, uint64(trial), &sMB)
-		hit := !sMB.Empty()
-		if hit {
-			acc.addMaxSet(&sMB)
-		}
-		if opt.OnTrial != nil {
-			opt.OnTrial(trial, &sMB)
-		}
-		if meter.observe(trial, scanned, fellBack, hit) {
-			probeEstimate(opt.Probe, 0, int64(acc.leadCount), trial, acc.leadB, acc.leadW)
-		}
+	r, err := runExecutor(opt.Executor).ExecuteTrials(&ExecJob{
+		Kind:  ExecOS,
+		Graph: g,
+		Seed:  opt.Seed,
+		Units: opt.Trials,
+		Start: start,
+		OS: OSOptions{
+			DisableEdgePrune: opt.DisableEdgePrune,
+			KeepAllAngles:    opt.KeepAllAngles,
+			DropA2:           opt.DropA2,
+			OnTrial:          opt.OnTrial,
+			Anchor:           opt.Anchor,
+		},
+		Interrupt: opt.Interrupt,
+		Probe:     opt.Probe,
+		Spec:      ExecSpec{Method: "os", Seed: opt.Seed, Trials: opt.Trials},
+		acc:       acc,
+	})
+	if err != nil {
+		return nil, err
 	}
-	meter.flush(opt.Trials)
-	res := acc.result("os", opt.Trials)
+	r.foldCounts(acc)
+	var res *Result
+	if r.Done < opt.Trials {
+		res = acc.partialResult("os", g, opt.Seed, opt.Trials, r.Done, opt.Anchor)
+	} else {
+		res = acc.result("os", opt.Trials)
+	}
 	probeFinish(opt.Probe, res)
 	return res, nil
 }
@@ -218,18 +221,25 @@ type osIndex struct {
 	anglesGenerated int
 }
 
-// angleEntry is one endpoint pair's angle bookkeeping: the largest (w1,
-// mids1) and second-largest (w2, mids2) angle weight classes, per Table
-// II. With KeepAllAngles it additionally records every angle. The pair
-// vertices live on the snapshot's pairing side and the middles on its
-// center side (left/right assignment depends on edgeSnapshot.flip).
+// angleClasses is the Table II bookkeeping of one endpoint pair: the
+// largest (w1, mids1) and second-largest (w2, mids2) angle weight
+// classes, each with the middle vertices attaining it. The global kernel
+// (angleEntry) and the anchored kernel (anchorPartner) both embed it.
+type angleClasses struct {
+	w1    float64
+	mids1 []bigraph.VertexID
+	w2    float64
+	mids2 []bigraph.VertexID
+}
+
+// angleEntry is one endpoint pair's angle bookkeeping: its Table II
+// classes, plus every angle with KeepAllAngles. The pair vertices live on
+// the snapshot's pairing side and the middles on its center side
+// (left/right assignment depends on edgeSnapshot.flip).
 type angleEntry struct {
+	angleClasses
 	u1, u2 bigraph.VertexID // pairing-side endpoint pair, u1 < u2
-	w1     float64
-	mids1  []bigraph.VertexID
-	w2     float64
-	mids2  []bigraph.VertexID
-	all    []midW // only with KeepAllAngles
+	all    []midW           // only with KeepAllAngles
 	// mark stamps membership in osIndex.maxList for the current maxGen;
 	// stale stamps are dead by monotonicity and never need clearing.
 	mark uint64
@@ -287,7 +297,7 @@ type trialKernel interface {
 
 // acquireKernel returns the trial kernel opt selects: the anchored
 // kernel for an anchored run, which builds no global snapshot, and the
-// pooled global kernel otherwise.
+// free-listed global kernel otherwise.
 func acquireKernel(g *bigraph.Graph, opt OSOptions) trialKernel {
 	if opt.Anchor.Kind != 0 {
 		return newAnchoredIndex(g, opt.Anchor)
@@ -296,13 +306,13 @@ func acquireKernel(g *bigraph.Graph, opt OSOptions) trialKernel {
 }
 
 // acquireOSIndex returns a global kernel over g's cached calibrated
-// snapshot, reusing a previously released kernel when the snapshot's pool
-// has one: repeat runs and parallel chunks over the same graph stop
+// snapshot, reusing a previously released kernel when the snapshot's free
+// list has one: repeat runs and parallel chunks over the same graph stop
 // paying the ~1MB per-kernel build, which is what held the parallel path
 // at ~40 allocs per trial.
 func acquireOSIndex(g *bigraph.Graph, opt OSOptions) *osIndex {
 	snap := snapshotFor(g)
-	if k, ok := snap.kernels.Get().(*osIndex); ok && k != nil {
+	if k := snap.getKernel(); k != nil {
 		k.opt = opt
 		k.instrumented = false
 		return k
@@ -311,11 +321,12 @@ func acquireOSIndex(g *bigraph.Graph, opt OSOptions) *osIndex {
 }
 
 // release returns a kernel obtained from acquireOSIndex to its
-// snapshot's pool. The options are cleared so a pooled kernel does not
-// retain caller hooks (OnTrial/Interrupt/Probe closures) beyond its run.
+// snapshot's free list. The options are cleared so a listed kernel does
+// not retain caller hooks (OnTrial/Interrupt/Probe closures) beyond its
+// run.
 func (x *osIndex) release() {
 	x.opt = OSOptions{}
-	x.snap.kernels.Put(x)
+	x.snap.putKernel(x)
 }
 
 func (x *osIndex) scanLen() int { return x.snap.numEdges() }
@@ -363,7 +374,7 @@ func (x *osIndex) entryFor(a, b bigraph.VertexID) int32 {
 
 // update applies the Table II cases for a new angle of weight w with
 // middle mid.
-func (e *angleEntry) update(w float64, mid bigraph.VertexID) {
+func (e *angleClasses) update(w float64, mid bigraph.VertexID) {
 	switch {
 	case w > e.w1:
 		// Promote: old A1 becomes A2.
@@ -389,7 +400,7 @@ func (e *angleEntry) update(w float64, mid bigraph.VertexID) {
 // report an A1+A2 combination and those butterflies are lost. Kept as a
 // separate method so the correct update's signature (exercised directly
 // by angle-table tests) stays untouched.
-func (e *angleEntry) updateDropA2(w float64, mid bigraph.VertexID) {
+func (e *angleClasses) updateDropA2(w float64, mid bigraph.VertexID) {
 	switch {
 	case w > e.w1:
 		e.w1 = w
@@ -402,7 +413,7 @@ func (e *angleEntry) updateDropA2(w float64, mid bigraph.VertexID) {
 // bestWeight returns the largest butterfly weight this endpoint pair can
 // currently produce, or -Inf if it cannot produce one (fewer than two
 // angles retained).
-func (e *angleEntry) bestWeight() float64 {
+func (e *angleClasses) bestWeight() float64 {
 	if len(e.mids1) >= 2 {
 		return 2 * e.w1
 	}
@@ -766,27 +777,14 @@ func (x *osIndex) emit(sMB *butterfly.MaxSet, ent *angleEntry, m1, m2 bigraph.Ve
 // maxList holds, in ascending pool order, exactly the entries whose
 // bestWeight equals the final w_max (entries join when they set or tie
 // the running maximum; the list is cleared whenever the maximum rises, so
-// no stale entry survives). Emission per entry is identical to
-// materialize, so the butterflies come out in the same order as the
-// seed's pool walk.
+// no stale entry survives). Emission per entry is materialize's, so the
+// butterflies come out in the same order as the seed's pool walk.
 func (x *osIndex) materializeList(sMB *butterfly.MaxSet, wMax float64) {
 	if math.IsInf(wMax, -1) {
 		return // no butterfly in this world
 	}
 	for _, ei := range x.maxList {
-		ent := &x.pool[ei]
-		switch {
-		case len(ent.mids1) >= 2 && 2*ent.w1 == wMax: // line 16
-			for a := 0; a < len(ent.mids1); a++ {
-				for b := a + 1; b < len(ent.mids1); b++ {
-					x.emit(sMB, ent, ent.mids1[a], ent.mids1[b], wMax)
-				}
-			}
-		case len(ent.mids1) == 1 && len(ent.mids2) >= 1 && ent.w1+ent.w2 == wMax: // line 18
-			for _, m2 := range ent.mids2 {
-				x.emit(sMB, ent, ent.mids1[0], m2, wMax)
-			}
-		}
+		x.emitMax(sMB, &x.pool[ei], wMax)
 	}
 }
 
@@ -798,32 +796,39 @@ func (x *osIndex) materialize(sMB *butterfly.MaxSet, wMax float64) {
 	}
 	for i := 0; i < x.poolN; i++ {
 		ent := &x.pool[i]
-		if x.opt.KeepAllAngles {
-			// Ablation path: derive the maxima from the full angle list,
-			// which must agree with the A1/A2 path.
-			for a := 0; a < len(ent.all); a++ {
-				for b := a + 1; b < len(ent.all); b++ {
-					if ent.all[a].mid == ent.all[b].mid {
-						continue
-					}
-					if w := ent.all[a].w + ent.all[b].w; w == wMax {
-						x.emit(sMB, ent, ent.all[a].mid, ent.all[b].mid, wMax)
-					}
-				}
-			}
+		if !x.opt.KeepAllAngles {
+			x.emitMax(sMB, ent, wMax)
 			continue
 		}
-		switch {
-		case len(ent.mids1) >= 2 && 2*ent.w1 == wMax: // line 16
-			for a := 0; a < len(ent.mids1); a++ {
-				for b := a + 1; b < len(ent.mids1); b++ {
-					x.emit(sMB, ent, ent.mids1[a], ent.mids1[b], wMax)
+		// Ablation path: derive the maxima from the full angle list,
+		// which must agree with the A1/A2 path.
+		for a := 0; a < len(ent.all); a++ {
+			for b := a + 1; b < len(ent.all); b++ {
+				if ent.all[a].mid == ent.all[b].mid {
+					continue
+				}
+				if w := ent.all[a].w + ent.all[b].w; w == wMax {
+					x.emit(sMB, ent, ent.all[a].mid, ent.all[b].mid, wMax)
 				}
 			}
-		case len(ent.mids1) == 1 && len(ent.mids2) >= 1 && ent.w1+ent.w2 == wMax: // line 18
-			for _, m2 := range ent.mids2 {
-				x.emit(sMB, ent, ent.mids1[0], m2, wMax)
+		}
+	}
+}
+
+// emitMax emits the butterflies of weight wMax that ent's angle classes
+// form: every pair of A1 middles (line 16), or the single A1 middle with
+// each A2 middle (line 18).
+func (x *osIndex) emitMax(sMB *butterfly.MaxSet, ent *angleEntry, wMax float64) {
+	switch {
+	case len(ent.mids1) >= 2 && 2*ent.w1 == wMax: // line 16
+		for a := 0; a < len(ent.mids1); a++ {
+			for b := a + 1; b < len(ent.mids1); b++ {
+				x.emit(sMB, ent, ent.mids1[a], ent.mids1[b], wMax)
 			}
+		}
+	case len(ent.mids1) == 1 && len(ent.mids2) >= 1 && ent.w1+ent.w2 == wMax: // line 18
+		for _, m2 := range ent.mids2 {
+			x.emit(sMB, ent, ent.mids1[0], m2, wMax)
 		}
 	}
 }

@@ -3,15 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"github.com/uncertain-graphs/mpmb/internal/bigraph"
+	"github.com/uncertain-graphs/mpmb/internal/telemetry"
 )
 
-// ErrWorkerPanic wraps a panic recovered inside a parallel runner's worker
-// goroutine. The panic does not crash the process: the first panicking
+// ErrWorkerPanic wraps a panic recovered inside an executor worker, at any
+// worker count. The panic does not crash the process: the first panicking
 // worker records its value, the remaining workers drain, and the runner
 // returns this error (no partial result — an abandoned chunk would break
 // the completed-prefix invariant that partial results rely on). When the
@@ -20,32 +19,44 @@ import (
 // name the poisoned range.
 var ErrWorkerPanic = errors.New("core: worker panicked")
 
-// parChunkTrials is the dispatch granularity of the parallel runners. A
+// parChunkTrials is the dispatch granularity of a multi-worker run. A
 // worker claims one chunk of consecutive trials at a time and always
 // finishes a claimed chunk, so on cancellation the completed trials form
-// an exact prefix 1..done — exactly the state a sequential resume expects.
-// Small enough that cancellation latency is a few chunk-lengths of work,
-// large enough that the atomic claim is amortized away.
+// an exact prefix 1..done — exactly the state a resume expects. Small
+// enough that cancellation latency is a few chunk-lengths of work, large
+// enough that the atomic claim is amortized away. It must stay below
+// probeFlushEvery: a worker's trial meter is flushed per chunk, so only a
+// one-worker run ever reaches the cadence flush.
 const parChunkTrials = 16
 
-func parDefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// parLoop runs trials start+1..end distributed over workers goroutines.
-// newBody runs once on each worker's goroutine to set up worker-local
-// scratch and returns the chunk function, which must execute trials
-// lo..hi inclusive. Handing bodies a whole chunk (rather than one trial)
-// lets them keep kernel state hot across the chunk and costs one indirect
-// call per parChunkTrials trials instead of one per trial.
+// parLoop runs trials start+1..end over workers workers and returns the
+// completed prefix. newBody runs once per worker, on the worker's
+// goroutine, to set up worker-local scratch; it returns run, which must
+// execute trials lo..hi inclusive, and flush (nil for none), which
+// publishes the telemetry the worker batched up to lastTrial, the last
+// trial it completed.
 //
-// Dispatch is chunked: a monotonic counter hands out chunks of
-// parChunkTrials consecutive trials. Workers poll stop/interrupt only
-// BETWEEN chunks and never abandon a claimed chunk, so every handed-out
-// chunk is fully executed and the executed trials are exactly
-// start+1..done for the returned done. A worker panic is recovered,
-// cancels the siblings, and surfaces as an ErrWorkerPanic-wrapped error
-// naming the claimed chunk's bounds; done is meaningless in that case
-// because the panicking worker abandoned its chunk mid-flight.
-func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int) func(lo, hi int)) (done int, err error) {
+// One worker runs inline on the caller's goroutine, trial by trial: it
+// polls interrupt before every trial and never after the last, and
+// flushes once when it stops.
+//
+// More workers each run on a goroutine of their own (labelled for pprof
+// and sized into probe's registry), with chunked dispatch: a monotonic
+// counter hands out chunks of parChunkTrials consecutive trials. Workers
+// poll stop/interrupt only BETWEEN chunks, never abandon a claimed chunk
+// and flush after each one, so every handed-out chunk is fully executed
+// and the executed trials are exactly start+1..done for the returned
+// done.
+//
+// At any worker count a panic is recovered, cancels the siblings, and
+// surfaces as an ErrWorkerPanic-wrapped error naming the claimed chunk's
+// bounds; done is meaningless in that case because the panicking worker
+// abandoned its chunk mid-flight.
+func parLoop(probe *telemetry.Probe, start, end, workers int, interrupt func() bool, newBody func(w int) (run func(lo, hi int), flush func(lastTrial int))) (done int, err error) {
+	if workers <= 1 {
+		return runInline(start, end, interrupt, newBody)
+	}
+	probe.EnsureWorkers(workers)
 	total := end - start
 	nChunks := (total + parChunkTrials - 1) / parChunkTrials
 	var next atomic.Int64
@@ -67,17 +78,14 @@ func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int)
 				if r := recover(); r != nil {
 					panicMu.Lock()
 					if panicErr == nil {
-						if curHi > 0 {
-							panicErr = fmt.Errorf("%w: trials %d..%d: %v", ErrWorkerPanic, curLo, curHi, r)
-						} else {
-							panicErr = fmt.Errorf("%w: %v", ErrWorkerPanic, r)
-						}
+						panicErr = workerPanic(r, curLo, curHi)
 					}
 					panicMu.Unlock()
 					halt()
 				}
 			}()
-			body := newBody(w)
+			probe.LabelWorker(w)
+			run, flush := newBody(w)
 			for {
 				select {
 				case <-stop:
@@ -95,7 +103,10 @@ func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int)
 				lo := start + int(c)*parChunkTrials + 1
 				hi := min(start+(int(c)+1)*parChunkTrials, end)
 				curLo, curHi = lo, hi
-				body(lo, hi)
+				run(lo, hi)
+				if flush != nil {
+					flush(hi)
+				}
 			}
 		}(w)
 	}
@@ -111,198 +122,75 @@ func parLoop(start, end, workers int, interrupt func() bool, newBody func(w int)
 	return done, nil
 }
 
-// resolveExecutor picks the executor for a runner invocation. An explicit
-// opt-level executor always wins (even for tiny remaining ranges — a
-// distributed caller wants its fleet used, not silently bypassed). With
-// none set, the historical behaviour is preserved exactly: clamp workers
-// to the remaining units, fall back to the sequential runner for <=1, and
-// otherwise use the in-process pool. seq reports whether the caller must
-// take its sequential path.
-func resolveExecutor(explicit TrialExecutor, workers, remaining int) (exec TrialExecutor, seq bool) {
-	if explicit != nil {
-		return explicit, false
-	}
-	if workers <= 0 {
-		workers = parDefaultWorkers()
-	}
-	if workers > remaining {
-		workers = remaining
-	}
-	if workers <= 1 {
-		return nil, true
-	}
-	return &LocalExecutor{Workers: workers}, false
-}
-
-// OSParallel runs Ordering Sampling with trials distributed over workers
-// goroutines (0 means GOMAXPROCS), or over opt.Executor when one is set.
-// Trials are independent and each trial's random stream is derived from
-// (Seed, trial index), so the estimates are bit-identical to the
-// sequential OS with the same options — parallelism (local or
-// distributed) changes wall-clock time, never results. Cancellation
-// (opt.Interrupt, which every worker polls concurrently) yields the same
-// partial-Result-plus-Checkpoint contract as OS, and opt.Resume continues
-// such a checkpoint. The OnTrial hook is not supported here (trial
-// completion order would be nondeterministic); use OS when tracing.
-func OSParallel(g *bigraph.Graph, opt OSOptions, workers int) (*Result, error) {
-	if err := opt.check(g, "OSParallel"); err != nil {
-		return nil, err
-	}
-	if opt.OnTrial != nil {
-		return nil, fmt.Errorf("core: OSParallel does not support OnTrial; use OS")
-	}
-	start := 0
-	resumed := newProbAccumulator()
-	if opt.Resume != nil {
-		if err := opt.Resume.resumeCheck("os", opt.Seed, opt.Trials, 0, 0, opt.Anchor, g); err != nil {
-			return nil, err
+// runInline is parLoop's one-worker run on the caller's goroutine.
+func runInline(start, end int, interrupt func() bool, newBody func(w int) (run func(lo, hi int), flush func(lastTrial int))) (done int, err error) {
+	cur := 0 // the trial in flight, for the panic report (0: none yet)
+	defer func() {
+		if r := recover(); r != nil {
+			done, err = 0, workerPanic(r, cur, cur)
 		}
-		resumed = accumulatorFromCounts(opt.Resume.Counts)
-		start = opt.Resume.Done
+	}()
+	run, flush := newBody(0)
+	done = start
+	for t := start + 1; t <= end; t++ {
+		if interrupt != nil && interrupt() {
+			break
+		}
+		cur = t
+		run(t, t)
+		done = t
 	}
-	exec, seq := resolveExecutor(opt.Executor, workers, opt.Trials-start)
-	if seq {
-		return OS(g, opt)
+	if flush != nil {
+		flush(done)
 	}
-	r, err := exec.ExecuteTrials(&ExecJob{
-		Kind:  ExecOS,
-		Graph: g,
-		Seed:  opt.Seed,
-		Units: opt.Trials,
-		Start: start,
-		OS: OSOptions{
-			DisableEdgePrune: opt.DisableEdgePrune,
-			KeepAllAngles:    opt.KeepAllAngles,
-			DropA2:           opt.DropA2,
-			Anchor:           opt.Anchor,
-		},
-		Interrupt: opt.Interrupt,
-		Probe:     opt.Probe,
-		Workers:   workers,
-		Spec:      ExecSpec{Method: "os", Seed: opt.Seed, Trials: opt.Trials},
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.foldCounts(resumed)
-	var res *Result
-	if r.Done < opt.Trials {
-		res = resumed.partialResult("os", g, opt.Seed, opt.Trials, r.Done, opt.Anchor)
-	} else {
-		res = resumed.result("os", opt.Trials)
-	}
-	probeFinish(opt.Probe, res)
-	return res, nil
+	return done, nil
 }
 
-// EstimateOptimizedParallel runs the Algorithm 5 estimator with trials
-// distributed over workers goroutines (0 means GOMAXPROCS), or over
-// opt.Executor when one is set. Per-trial streams are derived from
-// (Seed, trial index), so the estimates are bit-identical to
-// EstimateOptimized with the same options. Cancellation and resume follow
-// the sequential contract (opt.Interrupt is polled from every worker;
-// opt.State reports the completed prefix). The OnTrial hook is
-// unsupported (trial completion order would be nondeterministic), and the
-// EagerSampling/DisableEarlyBreak ablations are sequential-only knobs.
-func EstimateOptimizedParallel(c *Candidates, opt OptimizedOptions, workers int) ([]float64, error) {
-	if opt.Trials <= 0 {
-		return nil, fmt.Errorf("core: optimized estimator requires Trials > 0, got %d", opt.Trials)
+// workerPanic wraps a recovered panic value, naming the claimed trial
+// range lo..hi when there was one (hi > 0).
+func workerPanic(r any, lo, hi int) error {
+	if hi > 0 {
+		return fmt.Errorf("%w: trials %d..%d: %v", ErrWorkerPanic, lo, hi, r)
 	}
-	if opt.OnTrial != nil {
-		return nil, fmt.Errorf("core: EstimateOptimizedParallel does not support OnTrial; use EstimateOptimized")
-	}
-	if opt.EagerSampling || opt.DisableEarlyBreak {
-		return nil, fmt.Errorf("core: ablation options are sequential-only; use EstimateOptimized")
-	}
-	n := len(c.List)
-	counts, startTrial, err := optimizedResumeCounts(n, opt)
-	if err != nil {
-		return nil, err
-	}
-	start := startTrial - 1
-	exec, seq := resolveExecutor(opt.Executor, workers, opt.Trials-start)
-	if seq {
-		return EstimateOptimized(c, opt)
-	}
-	r, err := exec.ExecuteTrials(&ExecJob{
-		Kind:      ExecOptimized,
-		Graph:     c.G,
-		Cands:     c,
-		OS:        OSOptions{Anchor: c.Anchor},
-		Seed:      opt.Seed,
-		Units:     opt.Trials,
-		Start:     start,
-		Interrupt: opt.Interrupt,
-		Probe:     opt.Probe,
-		Workers:   workers,
-		Spec:      opt.Spec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, cnt := range r.CandCounts {
-		counts[i] += cnt
-	}
-	return optimizedFinish(counts, r.Done, opt, r.Done < opt.Trials), nil
+	return fmt.Errorf("%w: %v", ErrWorkerPanic, r)
 }
 
-// EstimateKarpLubyParallel runs the Algorithm 4 estimator with candidates
-// distributed over workers goroutines (0 means GOMAXPROCS), or over
-// opt.Executor when one is set. Unlike the trial-parallel runners, the
-// natural axis here is the candidate: every candidate's estimation is
-// independent (its random stream derives from (Seed, candidate index)),
-// so per-candidate results are bit-identical to the sequential
-// EstimateKarpLuby. Cancellation stops pricing at a candidate-prefix
-// boundary and resume continues from it, like the sequential runner. The
-// tracing and restriction hooks (OnCandidateTrial, OnlyCandidate) are
-// sequential-only; TrialsUsed is supported.
-func EstimateKarpLubyParallel(c *Candidates, opt KLOptions, workers int) ([]float64, error) {
-	if err := validateKL(opt); err != nil {
-		return nil, err
+// runExecutor resolves a runner's Executor option: nil means one
+// in-process worker, run inline on the caller's goroutine.
+func runExecutor(e TrialExecutor) TrialExecutor {
+	if e == nil {
+		return inlineExecutor
 	}
-	if opt.OnCandidateTrial != nil || opt.OnlyCandidate != nil {
-		return nil, fmt.Errorf("core: EstimateKarpLubyParallel does not support tracing hooks; use EstimateKarpLuby")
+	return e
+}
+
+// inlineExecutor is the stateless one-worker LocalExecutor, shared by
+// every run without an executor.
+var inlineExecutor = &LocalExecutor{Workers: 1}
+
+// LocalWorkers is the Executor option for n in-process workers: nil (the
+// inline one-worker run) for n <= 1, else &LocalExecutor{Workers: n}.
+func LocalWorkers(n int) TrialExecutor {
+	if n <= 1 {
+		return nil
 	}
-	n := len(c.List)
-	probs := make([]float64, n)
-	trialsUsed := make([]int, n)
-	start, err := klResumeInit(n, opt, probs, trialsUsed)
-	if err != nil {
-		return nil, err
+	return &LocalExecutor{Workers: n}
+}
+
+// checkExecutor enforces what a runner can hand to an explicit executor.
+// The trace hooks fire in trial order, so they need the inline one-worker
+// run (a nil executor); the in-process-only options named by local (""
+// for none set) reach workers through ExecJob fields a remote executor
+// cannot ship, so they need a LocalExecutor.
+func checkExecutor(e TrialExecutor, hooked bool, local string) error {
+	if e == nil {
+		return nil
 	}
-	exec, seq := resolveExecutor(opt.Executor, workers, n-start)
-	if seq {
-		return EstimateKarpLuby(c, opt)
+	if hooked {
+		return fmt.Errorf("core: trace hooks need a nil Executor (one inline worker)")
 	}
-	r, err := exec.ExecuteTrials(&ExecJob{
-		Kind:  ExecKarpLuby,
-		Graph: c.G,
-		Cands: c,
-		OS:    OSOptions{Anchor: c.Anchor},
-		Seed:  opt.Seed,
-		Units: n,
-		Start: start,
-		KL: KLOptions{
-			BaseTrials: opt.BaseTrials,
-			Mu:         opt.Mu,
-			MaxTrials:  opt.MaxTrials,
-		},
-		Interrupt: opt.Interrupt,
-		Probe:     opt.Probe,
-		Workers:   workers,
-		Spec:      opt.Spec,
-	})
-	if err != nil {
-		return nil, err
+	if _, ok := e.(*LocalExecutor); !ok && local != "" {
+		return fmt.Errorf("core: %s needs an in-process executor (nil or *LocalExecutor)", local)
 	}
-	copy(probs[start:r.Done], r.CandProbs[start:r.Done])
-	copy(trialsUsed[start:r.Done], r.CandTrials[start:r.Done])
-	done := r.Done
-	if opt.TrialsUsed != nil {
-		*opt.TrialsUsed = trialsUsed
-	}
-	if opt.State != nil {
-		*opt.State = EstimatorState{Partial: done < n, Done: done, Probs: probs, Trials: trialsUsed}
-	}
-	return probs, nil
+	return nil
 }

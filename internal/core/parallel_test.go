@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -20,7 +21,7 @@ func TestOSParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 3, 7} {
-			par, err := OSParallel(g, opt, workers)
+			par, err := osOnPool(g, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,11 +41,11 @@ func TestOSParallelMatchesSequential(t *testing.T) {
 
 func TestOSParallelValidation(t *testing.T) {
 	g := figure1Graph()
-	if _, err := OSParallel(g, OSOptions{Trials: 0}, 2); err == nil {
+	if _, err := osOnPool(g, OSOptions{Trials: 0}, 2); err == nil {
 		t.Fatal("OSParallel accepted Trials=0")
 	}
 	opt := OSOptions{Trials: 10, Seed: 1, OnTrial: func(int, *butterfly.MaxSet) {}}
-	if _, err := OSParallel(g, opt, 2); err == nil {
+	if _, err := osOnPool(g, opt, 2); err == nil {
 		t.Fatal("OSParallel accepted an OnTrial hook")
 	}
 }
@@ -68,7 +69,7 @@ func TestEstimateOptimizedParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 5} {
-			par, err := EstimateOptimizedParallel(cands, opt, workers)
+			par, err := optimizedOnPool(cands, opt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,13 +88,14 @@ func TestEstimateOptimizedParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 0}, 2); err == nil {
+	if _, err := optimizedOnPool(cands, OptimizedOptions{Trials: 0}, 2); err == nil {
 		t.Fatal("accepted Trials=0")
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 10, EagerSampling: true}, 2); err == nil {
+	// The ablations reach in-process workers only.
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 10, EagerSampling: true, Executor: remoteExecutor{}}); err == nil {
 		t.Fatal("accepted an ablation option")
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 10, OnTrial: func(int, []int) {}}, 2); err == nil {
+	if _, err := optimizedOnPool(cands, OptimizedOptions{Trials: 10, OnTrial: func(int, []int) {}}, 2); err == nil {
 		t.Fatal("accepted an OnTrial hook")
 	}
 }
@@ -120,7 +122,7 @@ func TestEstimateKarpLubyParallelMatchesSequential(t *testing.T) {
 		for _, workers := range []int{0, 2, 4} {
 			popt := opt
 			popt.TrialsUsed = &parUsed
-			par, err := EstimateKarpLubyParallel(cands, popt, workers)
+			par, err := klOnPool(cands, popt, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,11 +144,103 @@ func TestEstimateKarpLubyParallelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateKarpLubyParallel(cands, KLOptions{BaseTrials: 0}, 2); err == nil {
+	if _, err := klOnPool(cands, KLOptions{BaseTrials: 0}, 2); err == nil {
 		t.Fatal("accepted BaseTrials=0")
 	}
+	// OnlyCandidate reaches in-process workers only.
 	idx := 0
-	if _, err := EstimateKarpLubyParallel(cands, KLOptions{BaseTrials: 10, OnlyCandidate: &idx}, 2); err == nil {
+	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 10, OnlyCandidate: &idx, Executor: remoteExecutor{}}); err == nil {
 		t.Fatal("accepted OnlyCandidate")
+	}
+	if _, err := klOnPool(cands, KLOptions{BaseTrials: 10, OnCandidateTrial: func(int, int, float64) {}}, 2); err == nil {
+		t.Fatal("accepted an OnCandidateTrial hook")
+	}
+}
+
+// TestKarpLubyResumeAtEndWithExecutor: a checkpoint that priced every
+// candidate finishes through an explicit executor with the resumed
+// estimates (the executor runs no unit and returns no payload to copy).
+func TestKarpLubyResumeAtEndWithExecutor(t *testing.T) {
+	cands, err := AllBackboneCandidates(figure1Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st EstimatorState
+	want, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 10, Seed: 1, State: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := make([]int64, len(st.Trials))
+	for i, n := range st.Trials {
+		trials[i] = int64(n)
+	}
+	got, err := klOnPool(cands, KLOptions{BaseTrials: 10, Seed: 1, ResumeDone: cands.Len(), ResumeProbs: st.Probs, ResumeTrials: trials}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed estimates %v, want %v", got, want)
+	}
+}
+
+// remoteExecutor stands in for an out-of-process executor: the runners
+// must reject what it could not ship before calling it.
+type remoteExecutor struct{}
+
+func (remoteExecutor) ExecuteTrials(*ExecJob) (*ExecResult, error) {
+	panic("remoteExecutor: called")
+}
+
+// TestInProcessOptionsAtAnyWorkerCount: the ablations and OnlyCandidate
+// live in the one trial body, so a pool returns what the inline run does.
+func TestInProcessOptionsAtAnyWorkerCount(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	var cands *Candidates
+	for cands == nil || cands.Len() < 2 {
+		var err error
+		if cands, err = AllBackboneCandidates(randGraph(r, 6, 6, 20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []OptimizedOptions{
+		{Trials: 700, Seed: 3, EagerSampling: true},
+		{Trials: 700, Seed: 3, DisableEarlyBreak: true},
+	} {
+		seq, err := EstimateOptimized(cands, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := EstimateOptimized(cands, OptimizedOptions{Trials: 700, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.DisableEarlyBreak && !reflect.DeepEqual(seq, plain) {
+			t.Fatalf("DisableEarlyBreak changed the estimates")
+		}
+		par, err := optimizedOnPool(cands, opt, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("%+v: pool estimates differ from the inline run", opt)
+		}
+	}
+	only := cands.Len() - 1
+	opt := KLOptions{BaseTrials: 300, Seed: 5, OnlyCandidate: &only}
+	seq, err := EstimateKarpLuby(cands, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := klOnPool(cands, opt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("OnlyCandidate: pool estimates differ from the inline run")
+	}
+	for i, p := range seq {
+		if i != only && p != 0 {
+			t.Fatalf("OnlyCandidate priced candidate %d", i)
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/uncertain-graphs/mpmb/internal/butterfly"
 )
 
 // interruptAfter returns a concurrency-safe hook firing after n polls.
@@ -192,7 +194,7 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := OSParallel(g, OSOptions{Trials: full, Seed: 11, Interrupt: interruptAfter(5)}, 4)
+		part, err := osOnPool(g, OSOptions{Trials: full, Seed: 11, Interrupt: interruptAfter(5)}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +204,7 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 		if part.TrialsDone >= full || part.TrialsDone < 0 {
 			t.Fatalf("TrialsDone = %d outside [0,%d)", part.TrialsDone, full)
 		}
-		resumed, err := OSParallel(g, OSOptions{Trials: full, Seed: 11, Resume: reloadCheckpoint(t, part.Checkpoint)}, 4)
+		resumed, err := osOnPool(g, OSOptions{Trials: full, Seed: 11, Resume: reloadCheckpoint(t, part.Checkpoint)}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +220,7 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 		}
 		cutOpt := olsOpt
 		cutOpt.Interrupt = interruptAfter(prep + 5)
-		part, err := OLSParallel(g, cutOpt, 4)
+		part, err := olsOnPool(g, cutOpt, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +229,7 @@ func TestResumeBitIdenticalParallel(t *testing.T) {
 		}
 		resOpt := olsOpt
 		resOpt.Resume = reloadCheckpoint(t, part.Checkpoint)
-		resumed, err := OLSParallel(g, resOpt, 4)
+		resumed, err := olsOnPool(g, resOpt, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +333,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 		}
 	}
 
-	if _, err := OSParallel(g, OSOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}, 4); !errors.Is(err, ErrWorkerPanic) {
+	if _, err := osOnPool(g, OSOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}, 4); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("OSParallel: err = %v, want ErrWorkerPanic", err)
 	}
 
@@ -339,18 +341,40 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateOptimizedParallel(cands, OptimizedOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}, 4); !errors.Is(err, ErrWorkerPanic) {
+	if _, err := optimizedOnPool(cands, OptimizedOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}, 4); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("EstimateOptimizedParallel: err = %v, want ErrWorkerPanic", err)
 	}
 	// Karp-Luby has only len(cands) dispatch polls; panic on the first.
-	if _, err := EstimateKarpLubyParallel(cands, KLOptions{BaseTrials: 50, Seed: 2, Interrupt: panicHook(0)}, 2); !errors.Is(err, ErrWorkerPanic) {
+	if _, err := klOnPool(cands, KLOptions{BaseTrials: 50, Seed: 2, Interrupt: panicHook(0)}, 2); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("EstimateKarpLubyParallel: err = %v, want ErrWorkerPanic", err)
 	}
 	// The sequential preparing phase polls once per prep trial (calls
 	// 1..5, below the threshold), so the panic lands in a sampling-phase
 	// worker; five prep trials are enough to give Figure 1 candidates.
-	if _, err := OLSParallel(g, OLSOptions{PrepTrials: 5, Trials: 500, Seed: 2, Interrupt: panicHook(7)}, 4); !errors.Is(err, ErrWorkerPanic) {
+	if _, err := olsOnPool(g, OLSOptions{PrepTrials: 5, Trials: 500, Seed: 2, Interrupt: panicHook(7)}, 4); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("OLSParallel: err = %v, want ErrWorkerPanic", err)
+	}
+
+	// The one-worker run (no executor) runs inline on the caller's
+	// goroutine and turns a panic into the same error.
+	if _, err := OS(g, OSOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("OS: err = %v, want ErrWorkerPanic", err)
+	}
+	if _, err := OS(g, OSOptions{Trials: 500, Seed: 2, OnTrial: func(trial int, _ *butterfly.MaxSet) {
+		if trial == 20 {
+			panic("injected failure at trial 20")
+		}
+	}}); !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), "trials 20..20") {
+		t.Fatalf("OS trial hook: err = %v, want ErrWorkerPanic naming trial 20", err)
+	}
+	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("EstimateOptimized: err = %v, want ErrWorkerPanic", err)
+	}
+	if _, err := EstimateKarpLuby(cands, KLOptions{BaseTrials: 50, Seed: 2, Interrupt: panicHook(0)}); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("EstimateKarpLuby: err = %v, want ErrWorkerPanic", err)
+	}
+	if _, err := OLS(g, OLSOptions{PrepTrials: 5, Trials: 500, Seed: 2, Interrupt: panicHook(7)}); !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("OLS: err = %v, want ErrWorkerPanic", err)
 	}
 }
 
@@ -361,12 +385,12 @@ func TestWorkerPanicIsolated(t *testing.T) {
 func TestWorkerPanicReportsChunkBounds(t *testing.T) {
 	// Chunks are parChunkTrials wide starting at trial 1, so trial 20
 	// lives in chunk 17..32; only the body claiming that chunk panics.
-	_, err := parLoop(0, 100, 3, nil, func(w int) func(lo, hi int) {
+	_, err := parLoop(nil, 0, 100, 3, nil, func(w int) (func(lo, hi int), func(int)) {
 		return func(lo, hi int) {
 			if lo <= 20 && 20 <= hi {
 				panic("injected failure at trial 20")
 			}
-		}
+		}, nil
 	})
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("err = %v, want ErrWorkerPanic", err)

@@ -13,8 +13,8 @@ import (
 // outside benchmarking should build on them.
 
 // KernelBench drives single Ordering Sampling trials through the
-// flat-memory kernel (the production path of OS/OSParallel), with the same
-// per-trial stream derivation the samplers use.
+// flat-memory kernel (the production path of OS at any worker count),
+// with the same per-trial stream derivation the samplers use.
 type KernelBench struct {
 	idx       *osIndex
 	root      *randx.RNG

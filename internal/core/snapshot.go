@@ -136,12 +136,44 @@ type edgeSnapshot struct {
 	// length, which disables the fallback path entirely.
 	prefixLen int
 
-	// kernels recycles osIndex instances built over this snapshot, so a
-	// run (or a parallel worker) that needs a kernel for an already-seen
-	// graph reuses the previous run's allocations instead of rebuilding
-	// ~1MB of per-kernel scratch. Kernels are only ever pooled with their
-	// own snapshot, so a pooled kernel always matches the graph.
-	kernels sync.Pool
+	// kernels is the free list of idle osIndex instances built over this
+	// snapshot, so a run (or a worker) that needs a kernel for an
+	// already-seen graph reuses the previous run's allocations instead of
+	// rebuilding ~1MB of per-kernel scratch. Unlike a sync.Pool it is
+	// never emptied by the garbage collector, only when another graph
+	// becomes the most recently used (see snapshotFor), and it holds at
+	// most as many kernels as the most workers that ever ran at once over
+	// the snapshot. Kernels are only ever listed with their own snapshot,
+	// so a listed kernel always matches the graph.
+	kernelMu sync.Mutex
+	kernels  []*osIndex
+}
+
+// getKernel pops an idle kernel off the free list (nil when it is empty).
+func (s *edgeSnapshot) getKernel() *osIndex {
+	s.kernelMu.Lock()
+	defer s.kernelMu.Unlock()
+	n := len(s.kernels)
+	if n == 0 {
+		return nil
+	}
+	k := s.kernels[n-1]
+	s.kernels = s.kernels[:n-1]
+	return k
+}
+
+// putKernel returns an idle kernel to the free list.
+func (s *edgeSnapshot) putKernel(k *osIndex) {
+	s.kernelMu.Lock()
+	s.kernels = append(s.kernels, k)
+	s.kernelMu.Unlock()
+}
+
+// dropKernels empties the free list.
+func (s *edgeSnapshot) dropKernels() {
+	s.kernelMu.Lock()
+	s.kernels = nil
+	s.kernelMu.Unlock()
 }
 
 // liveEdge is one flat N̂_E entry: a live, already-processed edge incident
@@ -432,7 +464,7 @@ func (s *edgeSnapshot) calibrate(g *bigraph.Graph) {
 	if m < n {
 		s.prefixLen = m
 	}
-	s.kernels.Put(x) // the calibration kernel seeds the snapshot's pool
+	s.putKernel(x) // the calibration kernel seeds the snapshot's free list
 }
 
 // snapCache memoizes calibrated snapshots per graph, keyed by graph
@@ -458,6 +490,12 @@ type snapCacheEntry struct {
 // happens outside the cache lock, so concurrent first requests for the
 // same graph may build duplicates — each fully calibrated and
 // interchangeable; one of them wins the cache slot.
+//
+// Only the most recently used snapshot keeps idle kernels: the one that
+// g's request displaces from the head drops its free list, so a graph
+// no caller queries any more (a daemon's reloaded input, say) does not
+// pin its kernels' several MB of trial scratch for as long as its
+// snapshot stays cached.
 func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
 	snapCache.Lock()
 	for i := range snapCache.entries {
@@ -465,6 +503,9 @@ func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
 			e := snapCache.entries[i]
 			copy(snapCache.entries[1:i+1], snapCache.entries[:i])
 			snapCache.entries[0] = e
+			if i > 0 {
+				snapCache.entries[1].s.dropKernels()
+			}
 			snapCache.Unlock()
 			return e.s
 		}
@@ -484,6 +525,9 @@ func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
 	snapCache.entries = append(snapCache.entries, snapCacheEntry{})
 	copy(snapCache.entries[1:], snapCache.entries)
 	snapCache.entries[0] = snapCacheEntry{g: g, s: s}
+	if len(snapCache.entries) > 1 {
+		snapCache.entries[1].s.dropKernels()
+	}
 	if len(snapCache.entries) > snapCacheCap {
 		snapCache.entries = snapCache.entries[:snapCacheCap]
 	}

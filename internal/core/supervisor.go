@@ -124,9 +124,10 @@ type SupervisorOptions struct {
 	// Method is "mc-vp", "os", "ols" or "ols-kl" (exact runs are bounded
 	// and deterministic; they have nothing to supervise).
 	Method string
-	// Trials / PrepTrials / Seed / Workers follow the method's own option
-	// struct semantics. Workers > 0 selects the parallel runners (os and
-	// the OLS sampling phase only).
+	// Trials / PrepTrials / Seed follow the method's own option struct
+	// semantics. Workers > 1 runs os and the OLS sampling phase on
+	// &LocalExecutor{Workers: Workers}; 0 and 1 run one worker inline on
+	// the caller's goroutine (the only mode the trace hooks support).
 	Trials     int
 	PrepTrials int
 	Seed       uint64
@@ -172,12 +173,12 @@ type SupervisorOptions struct {
 	Now func() time.Time
 	// Interrupt is the external cancellation hook (context, signal),
 	// polled alongside the supervisor's own bookkeeping. Must be safe for
-	// concurrent use when Workers > 0.
+	// concurrent use when Workers > 1.
 	Interrupt func() bool
 
 	// OS carries Ordering Sampling knobs for the os method and the OLS
 	// preparing phase (its Trials/Seed/Interrupt/Resume are overwritten;
-	// OnTrial is honored only for sequential os runs). Audit trials always
+	// OnTrial is honored only for one-worker os runs). Audit trials always
 	// run the pristine, un-ablated OS configuration — they are the
 	// defense, so fault-injection knobs must not reach them.
 	OS OSOptions
@@ -454,9 +455,8 @@ func (s *supervisor) countingStep(method string, ck *Checkpoint) (*Result, error
 			o.Interrupt = s.gate.poll
 			o.Resume = ck
 			o.Probe = s.opt.Probe
-			if s.opt.Workers > 0 {
-				o.OnTrial = nil // unsupported by the parallel runner
-				return OSParallel(s.g, o, s.opt.Workers)
+			if o.Executor = LocalWorkers(s.opt.Workers); o.Executor != nil {
+				o.OnTrial = nil // the trace hook needs the inline worker
 			}
 			return OS(s.g, o)
 		}
@@ -595,13 +595,14 @@ func (s *supervisor) olsOpts(prepTarget int, ck *Checkpoint) OLSOptions {
 		Interrupt:   s.gate.poll,
 		Resume:      ck,
 		Probe:       s.opt.Probe,
+		Executor:    LocalWorkers(s.opt.Workers),
 	}
 }
 
 func (s *supervisor) olsStep(cands *Candidates, prepTarget int, ck *Checkpoint) (*Result, error) {
 	opt := s.olsOpts(prepTarget, ck)
 	return s.withWatchdog(s.opt.Method, func() (*Result, error) {
-		return OLSSamplingPhaseParallel(cands, opt, s.opt.Workers)
+		return OLSSamplingPhase(cands, opt)
 	})
 }
 
@@ -683,8 +684,8 @@ func (s *supervisor) withWatchdog(method string, fn func() (*Result, error)) (*R
 // segGate is the supervisor's interrupt hook: it multiplexes external
 // cancellation, the deadline, and a per-segment poll budget through the
 // runners' existing Interrupt seam, so the unmodified partial-Result +
-// Checkpoint machinery does the segmenting. All state is atomic — the
-// parallel runners poll from every worker.
+// Checkpoint machinery does the segmenting. All state is atomic — a
+// multi-worker run polls from every worker.
 type segGate struct {
 	external func() bool
 	deadline time.Time

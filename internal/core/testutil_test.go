@@ -114,3 +114,27 @@ func bigraphBuilder1() *bigraph.Graph {
 type maxSetScratch struct {
 	m butterfly.MaxSet
 }
+
+// Shorthands for running a runner on an in-process pool of n workers (0
+// means GOMAXPROCS): each sets opt.Executor to &LocalExecutor{Workers: n}
+// and calls the estimator's one runner.
+
+func osOnPool(g *bigraph.Graph, opt OSOptions, n int) (*Result, error) {
+	opt.Executor = &LocalExecutor{Workers: n}
+	return OS(g, opt)
+}
+
+func olsOnPool(g *bigraph.Graph, opt OLSOptions, n int) (*Result, error) {
+	opt.Executor = &LocalExecutor{Workers: n}
+	return OLS(g, opt)
+}
+
+func optimizedOnPool(c *Candidates, opt OptimizedOptions, n int) ([]float64, error) {
+	opt.Executor = &LocalExecutor{Workers: n}
+	return EstimateOptimized(c, opt)
+}
+
+func klOnPool(c *Candidates, opt KLOptions, n int) ([]float64, error) {
+	opt.Executor = &LocalExecutor{Workers: n}
+	return EstimateKarpLuby(c, opt)
+}

@@ -126,16 +126,15 @@ func executeRange(t *testing.T, job *core.ExecJob, lo, hi int) *LeaseComplete {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	sub := &core.ExecJob{
-		Kind:    job.Kind,
-		Graph:   job.Graph,
-		Cands:   job.Cands,
-		Seed:    job.Seed,
-		Units:   hi,
-		Start:   lo - 1,
-		OS:      job.OS,
-		KL:      job.KL,
-		Probe:   &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
-		Workers: 1,
+		Kind:  job.Kind,
+		Graph: job.Graph,
+		Cands: job.Cands,
+		Seed:  job.Seed,
+		Units: hi,
+		Start: lo - 1,
+		OS:    job.OS,
+		KL:    job.KL,
+		Probe: &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
 	}
 	res, err := (&core.LocalExecutor{Workers: 1}).ExecuteTrials(sub)
 	if err != nil {

@@ -179,16 +179,15 @@ func (e *Executor) runFallback(stop <-chan struct{}, id uint64, job *core.ExecJo
 func executeSpan(job *core.ExecJob, jobID, leaseID uint64, lo, hi, pool int) (*LeaseComplete, error) {
 	reg := telemetry.NewRegistry()
 	sub := &core.ExecJob{
-		Kind:    job.Kind,
-		Graph:   job.Graph,
-		Cands:   job.Cands,
-		Seed:    job.Seed,
-		Units:   hi,     // run exactly the leased range:
-		Start:   lo - 1, // units Start+1..Units = lo..hi
-		OS:      job.OS,
-		KL:      job.KL,
-		Probe:   &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
-		Workers: pool,
+		Kind:  job.Kind,
+		Graph: job.Graph,
+		Cands: job.Cands,
+		Seed:  job.Seed,
+		Units: hi,     // run exactly the leased range:
+		Start: lo - 1, // units Start+1..Units = lo..hi
+		OS:    job.OS,
+		KL:    job.KL,
+		Probe: &telemetry.Probe{Reg: reg, Method: job.Spec.Method},
 	}
 	res, err := (&core.LocalExecutor{Workers: pool}).ExecuteTrials(sub)
 	if err != nil {

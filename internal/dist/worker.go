@@ -310,8 +310,7 @@ func (w *Worker) execute(ctx context.Context, rep *LeaseReply) (*LeaseComplete, 
 			Mu:         spec.KLMu,
 			MaxTrials:  spec.KLMaxTrials,
 		},
-		Probe:   probe,
-		Workers: w.Pool,
+		Probe: probe,
 	}
 	res, err := (&core.LocalExecutor{Workers: w.Pool}).ExecuteTrials(job)
 	if err != nil {

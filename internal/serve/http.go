@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -79,6 +80,23 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
+// decodeSpec is the submit path's decoding: strict JSON (unknown fields
+// are errors), the paper defaults, then admission validation. Either
+// failure is the client's, answered with 400.
+func (s *Server) decodeSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, fmt.Errorf("decoding job spec: %w", err)
+	}
+	spec = spec.normalize()
+	if err := s.validateSpec(spec); err != nil {
+		return JobSpec{}, fmt.Errorf("invalid job spec: %w", err)
+	}
+	return spec, nil
+}
+
 // handleSubmit is the admission path: drain gate, spec validation,
 // tenant quota charge, bounded queue. Saturation answers 429 with a
 // Retry-After hint and leaves no trace — memory use is bounded by
@@ -93,16 +111,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
-		return
-	}
-	spec = spec.normalize()
-	if err := s.validateSpec(spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
+	spec, err := s.decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 

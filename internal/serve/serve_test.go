@@ -20,7 +20,7 @@ import (
 )
 
 // writeFigure1 saves the paper's running example under dir as name.
-func writeFigure1(t *testing.T, dir, name string) {
+func writeFigure1(t testing.TB, dir, name string) {
 	t.Helper()
 	b := mpmb.NewBuilder(2, 3)
 	b.MustAddEdge(0, 0, 2, 0.5)

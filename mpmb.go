@@ -98,7 +98,7 @@ type PrepSizing = core.PrepSizing
 
 // Executor is the seam between a search and the machinery that executes
 // its independent trial units (see Options.Executor): the in-process
-// worker pool behind Options.Workers is the default implementation, and
+// workers behind Options.Workers are the default implementation, and
 // the dist coordinator's executor fans the same units out across worker
 // processes. Implementations must honour the core contract — execute
 // exactly the prefix of requested units, derive unit i's random stream

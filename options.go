@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"github.com/uncertain-graphs/mpmb/internal/core"
 )
 
 // Method selects an MPMB algorithm for Search.
@@ -43,11 +45,13 @@ type Options struct {
 	// via Equation 8 (OLS-KL only). 0 disables dynamic sizing: every
 	// candidate then runs exactly Trials trials.
 	Mu float64
-	// Workers distributes the sampling trials over that many goroutines
-	// (os, ols, ols-kl only; 0 keeps the run sequential). Results are
-	// bit-identical to the sequential run with the same options — each
-	// trial's random stream derives from (Seed, trial index), so only
-	// wall-clock time changes. Exact and mc-vp reject Workers > 0.
+	// Workers distributes the sampling trials over that many in-process
+	// goroutines (os, ols, ols-kl only): N > 1 runs the core executor
+	// LocalExecutor{Workers: N}, while 0 and 1 run one worker inline on
+	// the caller's goroutine. Results are bit-identical at every worker
+	// count — each trial's random stream derives from (Seed, trial
+	// index), so only wall-clock time changes. Exact and mc-vp reject
+	// Workers > 0.
 	Workers int
 	// Resume continues a cancelled run from the Checkpoint attached to its
 	// partial Result (see SearchContext). The options must match the
@@ -63,12 +67,12 @@ type Options struct {
 	// with and without an Observer return bit-identical estimates.
 	Observer *Observer
 	// Executor, if non-nil, hands the sampling phase's trial units to an
-	// explicit execution backend instead of the in-process worker pool —
+	// explicit execution backend instead of the in-process workers —
 	// typically a distributed fan-out (a dist coordinator's executor, as
 	// wired by mpmb-search -dist-listen and mpmb-serve -dist). Because
 	// every trial unit's random stream derives from (Seed, unit index),
 	// any conforming executor returns a Result bit-identical to the
-	// sequential run with the same options. Supported by os, ols and
+	// one-worker run with the same options. Supported by os, ols and
 	// ols-kl, without adaptive options; exact and mc-vp reject it, as do
 	// per-community queries.
 	Executor Executor
@@ -115,6 +119,15 @@ type Options struct {
 // supervisor. MaxEscalations alone does not: it only modifies AuditEvery.
 func (o Options) adaptive() bool {
 	return o.AuditEvery > 0 || o.Epsilon > 0 || !o.Deadline.IsZero() || o.StallTimeout > 0
+}
+
+// executor is the core runners' executor: the explicit one, else the
+// in-process workers Workers asks for.
+func (o Options) executor() Executor {
+	if o.Executor != nil {
+		return o.Executor
+	}
+	return core.LocalWorkers(o.Workers)
 }
 
 // DefaultOptions returns the paper's Section VIII-B defaults: 2×10⁴

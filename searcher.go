@@ -175,11 +175,8 @@ func (s *Searcher) runMethod(opt Options, anchor core.Anchor, interrupt func() b
 		Interrupt: interrupt,
 		Resume:    opt.Resume,
 		Probe:     probe,
-		Executor:  opt.Executor,
+		Executor:  opt.executor(),
 		Anchor:    anchor,
-	}
-	if opt.Workers > 0 || opt.Executor != nil {
-		return core.OSParallel(s.g, osOpt, opt.Workers)
 	}
 	return core.OS(s.g, osOpt)
 }
@@ -201,7 +198,7 @@ func (s *Searcher) runOLS(opt Options, anchor core.Anchor, interrupt func() bool
 		Interrupt:   interrupt,
 		Resume:      opt.Resume,
 		Probe:       probe,
-		Executor:    opt.Executor,
+		Executor:    opt.executor(),
 		OS:          core.OSOptions{Anchor: anchor},
 	}
 	prepOpt := olsOpt
@@ -235,7 +232,7 @@ func (s *Searcher) runOLS(opt Options, anchor core.Anchor, interrupt func() bool
 	if part != nil {
 		return part, nil
 	}
-	return core.OLSSamplingPhaseParallel(cands, olsOpt, opt.Workers)
+	return core.OLSSamplingPhase(cands, olsOpt)
 }
 
 // supervisorOptions maps the public adaptive options onto the core
