@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // VertexID indexes a vertex within its own partition (L or R).
@@ -57,6 +58,26 @@ type Graph struct {
 	lAdj []Half
 	rOff []int32 // CSR offsets for the R side, len numR+1
 	rAdj []Half
+
+	// derived holds data other packages compute from the graph and keep
+	// for exactly as long as the graph lives (see Derived).
+	derived sync.Map
+}
+
+// Derived returns the value stored on g under key by StoreDerived, if any.
+// A graph is immutable, so data derived from it (core's trial snapshot,
+// say) never goes stale; stored on the graph, it is collected with the
+// graph instead of outliving it in a cache of its own.
+func (g *Graph) Derived(key any) (any, bool) {
+	return g.derived.Load(key)
+}
+
+// StoreDerived stores v on g under key unless a value is already stored
+// there, and returns the stored value: concurrent builders of the same
+// derived data all end up using the first one stored.
+func (g *Graph) StoreDerived(key, v any) any {
+	actual, _ := g.derived.LoadOrStore(key, v)
+	return actual
 }
 
 // Builder accumulates edges and produces a Graph. The zero value is not

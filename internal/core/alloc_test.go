@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/uncertain-graphs/mpmb/internal/bigraph"
 	"github.com/uncertain-graphs/mpmb/internal/butterfly"
@@ -125,27 +126,58 @@ func TestKernelFreeListSurvivesGC(t *testing.T) {
 	}
 }
 
-// TestDisplacedSnapshotDropsKernels: only the most recently used graph
-// keeps idle kernels, so a graph no caller queries any more does not pin
-// its kernels' trial scratch for as long as its snapshot stays cached.
-func TestDisplacedSnapshotDropsKernels(t *testing.T) {
+// TestInterleavedGraphsKeepKernels: each graph keeps its own idle
+// kernels, so alternating runs over two graphs allocate no more than the
+// same runs one graph at a time — a switch of graph never rebuilds the
+// other graph's ~1MB kernel.
+func TestInterleavedGraphsKeepKernels(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
-	old, cur := randGraph(r, 20, 20, 150), randGraph(r, 20, 20, 150)
-	for _, g := range []*bigraph.Graph{old, cur} {
-		if _, err := OS(g, OSOptions{Trials: 8, Seed: 1}); err != nil {
+	g1, g2 := randGraph(r, 20, 20, 150), randGraph(r, 20, 20, 150)
+	run := func(g *bigraph.Graph) {
+		if _, err := OS(g, OSOptions{Trials: 32, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snapCache.Lock()
-	defer snapCache.Unlock()
-	idle := map[*bigraph.Graph]int{}
-	for _, e := range snapCache.entries {
-		e.s.kernelMu.Lock()
-		idle[e.g] = len(e.s.kernels)
-		e.s.kernelMu.Unlock()
+	run(g1) // build and calibrate both snapshots; their kernels go idle
+	run(g2)
+	alone := testing.AllocsPerRun(5, func() { run(g1) }) + testing.AllocsPerRun(5, func() { run(g2) })
+	interleaved := testing.AllocsPerRun(5, func() {
+		run(g1)
+		run(g2)
+	})
+	if interleaved != alone {
+		t.Fatalf("alternating runs over two graphs allocate %v per pair, %v one graph at a time", interleaved, alone)
 	}
-	if idle[old] != 0 || idle[cur] == 0 {
-		t.Fatalf("idle kernels: displaced graph %d (want 0), current graph %d (want > 0)", idle[old], idle[cur])
+}
+
+// TestSnapshotDiesWithGraph: the snapshot (and its kernel free list) is
+// stored on its graph, so once no caller holds the graph both are
+// collected — no cache keeps a dropped graph's several MB alive.
+func TestSnapshotDiesWithGraph(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		g := randGraph(rand.New(rand.NewSource(103)), 20, 20, 150)
+		if _, err := OS(g, OSOptions{Trials: 8, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		s, ok := g.Derived(snapshotKey{})
+		if !ok {
+			t.Fatal("OS stored no snapshot on its graph")
+		}
+		// The weight array holds no pointers, so it sits outside the
+		// graph/snapshot/kernel cycle and can carry a finalizer.
+		runtime.SetFinalizer(&s.(*edgeSnapshot).w[0], func(*float64) { close(collected) })
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("the snapshot of a graph no caller holds was never collected")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

@@ -138,8 +138,9 @@ type ExecJob struct {
 	Spec ExecSpec
 
 	// acc and counts are an in-process runner's resumed state (ExecOS and
-	// ExecOptimized): LocalExecutor's first worker adds its OS trials to
-	// acc in place, and a one-worker run's running leader covers them.
+	// ExecOptimized): LocalExecutor's first worker adds its trials to them
+	// in place, so a one-worker run's running leader covers the resumed
+	// prefix too.
 	acc    *probAccumulator
 	counts []int64
 }
@@ -155,7 +156,9 @@ type ExecResult struct {
 	// the executed units (order irrelevant; counts are additive).
 	Counts []ButterflyCount
 	// CandCounts is the ExecOptimized payload: a full-width
-	// per-candidate hit vector summed over the executed units.
+	// per-candidate hit vector summed over the executed units (for
+	// LocalExecutor, added in place to the job's counts when it carried
+	// them; see foldCandCounts).
 	CandCounts []int64
 	// CandProbs / CandTrials are the ExecKarpLuby payload: full-width
 	// vectors with entries Start..Done-1 filled (per-candidate writes
@@ -193,6 +196,17 @@ func (r *ExecResult) foldCounts(a *probAccumulator) {
 		a.merge(r.acc)
 	case len(r.Counts) > 0:
 		a.merge(accumulatorFromCounts(r.Counts))
+	}
+}
+
+// foldCandCounts adds an ExecOptimized payload into the counts the job
+// carried (a no-op when LocalExecutor already added it in place).
+func (r *ExecResult) foldCandCounts(counts []int64) {
+	if len(r.CandCounts) > 0 && &r.CandCounts[0] == &counts[0] {
+		return
+	}
+	for i, cnt := range r.CandCounts {
+		counts[i] += cnt
 	}
 }
 
@@ -244,6 +258,7 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 		return nil, err
 	}
 	workers := e.workerCount(job)
+	lead := workers == 1 // only a lone worker's tally is the running leader
 	root := randx.New(job.Seed)
 	onTrial := job.OS.OnTrial
 	accs := make([]*probAccumulator, workers)
@@ -271,9 +286,7 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 				if onTrial != nil {
 					onTrial(trial, &sMB)
 				}
-				// Only a one-worker run reaches the cadence flush (see
-				// parChunkTrials); it then publishes the running leader.
-				if meter.observe(trial, scanned, fellBack, hit) {
+				if meter.observe(trial, scanned, fellBack, hit) && lead {
 					probeEstimate(job.Probe, 0, int64(acc.leadCount), trial, acc.leadB, acc.leadW)
 				}
 			}
@@ -298,10 +311,11 @@ func (e *LocalExecutor) runOS(job *ExecJob) (*ExecResult, error) {
 
 // runOptimized executes shared sampling trials of the optimized
 // estimator (Algorithm 5). Each worker owns private lazy-sampling scratch
-// and a private count vector, summed into one full-width vector at the
-// end.
+// and a private count vector (the first worker's is the job's counts,
+// when it carried them), summed into one full-width vector at the end.
 func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
 	workers := e.workerCount(job)
+	lead := workers == 1 // only a lone worker's tally is the running leader
 	c := job.Cands
 	n := len(c.List)
 	numE := c.G.NumEdges()
@@ -325,23 +339,25 @@ func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
 	}
 	countsPer := make([][]int64, workers)
 	done, err := parLoop(job.Probe, job.Start, job.Units, workers, job.Interrupt, func(w int) (func(int, int), func(int)) {
-		cw := make([]int64, n)
+		cw := job.counts
+		if w > 0 || cw == nil {
+			cw = make([]int64, n)
+		}
 		countsPer[w] = cw
 		stamp := make([]int32, numE)
 		val := make([]bool, numE)
-		var curW int32  // stamp generation, carried across calls
-		var hitsW []int // hits buffer, likewise
+		var hitsW []int // hits buffer, carried across calls
 		meter := newTrialMeter(job.Probe, w, n, true)
 		return func(lo, hi int) {
 			// The loop runs on locals: the compiler keeps them in
 			// registers, but reloads a closure's variables after every
 			// store (and those the closure writes live on the heap).
 			list, cw, stamp, val, thresh := c.List, cw, stamp, val, thresh
-			cur, hits := curW, hitsW
+			hits := hitsW
 			var rng randx.RNG
 			for trial := lo; trial <= hi; trial++ {
 				root.DeriveInto(uint64(trial), &rng)
-				cur++
+				cur := int32(trial) // stamp generation: stamps start at 0, trials at 1
 				for _, id := range relevant {
 					stamp[id] = cur
 					val[id] = rng.BernoulliThresholded(thresh[id])
@@ -378,13 +394,11 @@ func (e *LocalExecutor) runOptimized(job *ExecJob) (*ExecResult, error) {
 				if onTrial != nil {
 					onTrial(trial, hits)
 				}
-				// Only a one-worker run reaches the cadence flush (see
-				// parChunkTrials); it then publishes the running leader.
-				if meter.observe(trial, examined, false, len(hits) > 0) {
-					probeOptimizedLeader(job.Probe, c, job.counts, cw, trial)
+				if meter.observe(trial, examined, false, len(hits) > 0) && lead {
+					probeOptimizedLeader(job.Probe, c, cw, trial)
 				}
 			}
-			curW, hitsW = cur, hits
+			hitsW = hits
 		}, meter.flush
 	})
 	if err != nil {

@@ -133,9 +133,7 @@ func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, cnt := range r.CandCounts {
-		counts[i] += cnt
-	}
+	r.foldCandCounts(counts)
 	// Lines 11–12, normalized over the completed prefix.
 	probs := make([]float64, n)
 	if r.Done > 0 {
@@ -150,24 +148,17 @@ func EstimateOptimized(c *Candidates, opt OptimizedOptions) ([]float64, error) {
 }
 
 // probeOptimizedLeader publishes the running argmax of the optimized
-// estimator's count vector base+counts (base, the resumed tally, may be
-// nil). Called at flush cadence only, so the O(n) scan is amortized over
-// probeFlushEvery trials.
-func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, base, counts []int64, trial int) {
+// estimator's count vector. Called at flush cadence only, so the O(n)
+// scan is amortized over probeFlushEvery trials.
+func probeOptimizedLeader(p *telemetry.Probe, c *Candidates, counts []int64, trial int) {
 	if p == nil || len(counts) == 0 {
 		return
 	}
-	at := func(k int) int64 {
-		if base != nil {
-			return base[k] + counts[k]
-		}
-		return counts[k]
-	}
 	lead := 0
 	for k := 1; k < len(counts); k++ {
-		if at(k) > at(lead) {
+		if counts[k] > counts[lead] {
 			lead = k
 		}
 	}
-	probeEstimate(p, 0, at(lead), trial, c.List[lead].B, c.List[lead].Weight)
+	probeEstimate(p, 0, counts[lead], trial, c.List[lead].B, c.List[lead].Weight)
 }

@@ -24,9 +24,8 @@ var ErrWorkerPanic = errors.New("core: worker panicked")
 // finishes a claimed chunk, so on cancellation the completed trials form
 // an exact prefix 1..done — exactly the state a resume expects. Small
 // enough that cancellation latency is a few chunk-lengths of work, large
-// enough that the atomic claim is amortized away. It must stay below
-// probeFlushEvery: a worker's trial meter is flushed per chunk, so only a
-// one-worker run ever reaches the cadence flush.
+// enough that the atomic claim is amortized away. A one-worker run with
+// no interrupt to poll steps through the same chunk grid.
 const parChunkTrials = 16
 
 // parLoop runs trials start+1..end over workers workers and returns the
@@ -36,9 +35,9 @@ const parChunkTrials = 16
 // publishes the telemetry the worker batched up to lastTrial, the last
 // trial it completed.
 //
-// One worker runs inline on the caller's goroutine, trial by trial: it
-// polls interrupt before every trial and never after the last, and
-// flushes once when it stops.
+// One worker runs inline on the caller's goroutine: it polls interrupt
+// before every trial and never after the last (with no interrupt it runs
+// whole chunks), and flushes once when it stops.
 //
 // More workers each run on a goroutine of their own (labelled for pprof
 // and sized into probe's registry), with chunked dispatch: a monotonic
@@ -122,23 +121,31 @@ func parLoop(probe *telemetry.Probe, start, end, workers int, interrupt func() b
 	return done, nil
 }
 
-// runInline is parLoop's one-worker run on the caller's goroutine.
+// runInline is parLoop's one-worker run on the caller's goroutine. With
+// an interrupt it runs one trial per call, so the poll before each trial
+// lands where the caller counts it; without one there is nothing to poll
+// between trials, and it runs parChunkTrials per call on the chunk grid
+// of a multi-worker run.
 func runInline(start, end int, interrupt func() bool, newBody func(w int) (run func(lo, hi int), flush func(lastTrial int))) (done int, err error) {
-	cur := 0 // the trial in flight, for the panic report (0: none yet)
+	var lo, hi int // the range in flight, for the panic report (hi 0: none yet)
 	defer func() {
 		if r := recover(); r != nil {
-			done, err = 0, workerPanic(r, cur, cur)
+			done, err = 0, workerPanic(r, lo, hi)
 		}
 	}()
 	run, flush := newBody(0)
+	step := parChunkTrials
+	if interrupt != nil {
+		step = 1
+	}
 	done = start
-	for t := start + 1; t <= end; t++ {
+	for done < end {
 		if interrupt != nil && interrupt() {
 			break
 		}
-		cur = t
-		run(t, t)
-		done = t
+		lo, hi = done+1, min(done+step, end)
+		run(lo, hi)
+		done = hi
 	}
 	if flush != nil {
 		flush(done)

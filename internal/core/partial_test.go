@@ -360,12 +360,19 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if _, err := OS(g, OSOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("OS: err = %v, want ErrWorkerPanic", err)
 	}
-	if _, err := OS(g, OSOptions{Trials: 500, Seed: 2, OnTrial: func(trial int, _ *butterfly.MaxSet) {
+	// With an interrupt it runs (and reports) one trial at a time; with
+	// none, the chunks of the multi-worker grid.
+	panicAt20 := func(trial int, _ *butterfly.MaxSet) {
 		if trial == 20 {
 			panic("injected failure at trial 20")
 		}
-	}}); !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), "trials 20..20") {
+	}
+	never := func() bool { return false }
+	if _, err := OS(g, OSOptions{Trials: 500, Seed: 2, OnTrial: panicAt20, Interrupt: never}); !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), "trials 20..20") {
 		t.Fatalf("OS trial hook: err = %v, want ErrWorkerPanic naming trial 20", err)
+	}
+	if _, err := OS(g, OSOptions{Trials: 500, Seed: 2, OnTrial: panicAt20}); !errors.Is(err, ErrWorkerPanic) || !strings.Contains(err.Error(), "trials 17..32") {
+		t.Fatalf("OS trial hook: err = %v, want ErrWorkerPanic naming chunk 17..32", err)
 	}
 	if _, err := EstimateOptimized(cands, OptimizedOptions{Trials: 500, Seed: 2, Interrupt: panicHook(3)}); !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("EstimateOptimized: err = %v, want ErrWorkerPanic", err)

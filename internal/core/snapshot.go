@@ -140,8 +140,8 @@ type edgeSnapshot struct {
 	// snapshot, so a run (or a worker) that needs a kernel for an
 	// already-seen graph reuses the previous run's allocations instead of
 	// rebuilding ~1MB of per-kernel scratch. Unlike a sync.Pool it is
-	// never emptied by the garbage collector, only when another graph
-	// becomes the most recently used (see snapshotFor), and it holds at
+	// never emptied by the garbage collector: it lives and dies with the
+	// snapshot, and so with the graph (see snapshotFor), and it holds at
 	// most as many kernels as the most workers that ever ran at once over
 	// the snapshot. Kernels are only ever listed with their own snapshot,
 	// so a listed kernel always matches the graph.
@@ -166,13 +166,6 @@ func (s *edgeSnapshot) getKernel() *osIndex {
 func (s *edgeSnapshot) putKernel(k *osIndex) {
 	s.kernelMu.Lock()
 	s.kernels = append(s.kernels, k)
-	s.kernelMu.Unlock()
-}
-
-// dropKernels empties the free list.
-func (s *edgeSnapshot) dropKernels() {
-	s.kernelMu.Lock()
-	s.kernels = nil
 	s.kernelMu.Unlock()
 }
 
@@ -467,71 +460,25 @@ func (s *edgeSnapshot) calibrate(g *bigraph.Graph) {
 	s.putKernel(x) // the calibration kernel seeds the snapshot's free list
 }
 
-// snapCache memoizes calibrated snapshots per graph, keyed by graph
-// identity (graphs are immutable). Capacity is small — the cache exists
-// so repeated runs, parallel workers and pooled service jobs over the
-// same few graphs stop rebuilding ~1MB of SoA tables plus the support
-// counts per kernel — and old entries fall off the MRU tail, so at most
-// snapCacheCap graphs are kept alive by it.
-const snapCacheCap = 4
-
-var snapCache struct {
-	sync.Mutex
-	entries []snapCacheEntry
-}
-
-type snapCacheEntry struct {
-	g *bigraph.Graph
-	s *edgeSnapshot
-}
+// snapshotKey is the key the calibrated snapshot is stored under on its
+// graph (bigraph.Graph.Derived), so it lives exactly as long as the graph:
+// repeated runs, parallel workers and pooled service jobs over a graph
+// share one snapshot and its kernel free list, and a graph no caller
+// holds any more takes both with it when it is collected.
+type snapshotKey struct{}
 
 // snapshotFor returns the calibrated snapshot for g, building it on the
 // first request. Building (support counting + calibration trials)
-// happens outside the cache lock, so concurrent first requests for the
-// same graph may build duplicates — each fully calibrated and
-// interchangeable; one of them wins the cache slot.
-//
-// Only the most recently used snapshot keeps idle kernels: the one that
-// g's request displaces from the head drops its free list, so a graph
-// no caller queries any more (a daemon's reloaded input, say) does not
-// pin its kernels' several MB of trial scratch for as long as its
-// snapshot stays cached.
+// happens without a lock, so concurrent first requests for the same graph
+// may build duplicates — each fully calibrated and interchangeable; the
+// first one stored wins.
 func snapshotFor(g *bigraph.Graph) *edgeSnapshot {
-	snapCache.Lock()
-	for i := range snapCache.entries {
-		if snapCache.entries[i].g == g {
-			e := snapCache.entries[i]
-			copy(snapCache.entries[1:i+1], snapCache.entries[:i])
-			snapCache.entries[0] = e
-			if i > 0 {
-				snapCache.entries[1].s.dropKernels()
-			}
-			snapCache.Unlock()
-			return e.s
-		}
+	if s, ok := g.Derived(snapshotKey{}); ok {
+		return s.(*edgeSnapshot)
 	}
-	snapCache.Unlock()
-
 	s := newEdgeSnapshot(g)
 	s.calibrate(g)
-
-	snapCache.Lock()
-	defer snapCache.Unlock()
-	for i := range snapCache.entries {
-		if snapCache.entries[i].g == g {
-			return snapCache.entries[i].s // lost the build race; use the winner
-		}
-	}
-	snapCache.entries = append(snapCache.entries, snapCacheEntry{})
-	copy(snapCache.entries[1:], snapCache.entries)
-	snapCache.entries[0] = snapCacheEntry{g: g, s: s}
-	if len(snapCache.entries) > 1 {
-		snapCache.entries[1].s.dropKernels()
-	}
-	if len(snapCache.entries) > snapCacheCap {
-		snapCache.entries = snapCache.entries[:snapCacheCap]
-	}
-	return s
+	return g.StoreDerived(snapshotKey{}, s).(*edgeSnapshot)
 }
 
 // edgeThresholds precomputes the Bernoulli threshold of every backbone
